@@ -228,10 +228,12 @@ pub(crate) fn live_scopes() -> Vec<Arc<ScopeInner>> {
 
 /// `(model label, scope)` for the root scope plus every live model scope —
 /// the snapshot surface the monitor endpoints render. The root scope comes
-/// first with an empty label; model scopes carry the label captured from
-/// their `meta` events (empty until the harness emits one).
+/// first with an empty label (while a [`test_scope`] guard lives, that
+/// test's own scope stands in for it); model scopes carry the label
+/// captured from their `meta` events (empty until the harness emits one).
 pub(crate) fn snapshot_scopes() -> Vec<(String, Arc<ScopeInner>)> {
-    let mut out = vec![(String::new(), Arc::clone(root_scope()))];
+    let root = TEST_ROOT.lock().clone().unwrap_or_else(|| Arc::clone(root_scope()));
+    let mut out = vec![(String::new(), root)];
     for s in live_scopes() {
         let label = s.labels.lock().1.clone();
         out.push((label, s));
@@ -412,13 +414,13 @@ impl Drop for ScopeGuard {
 /// # Contract
 ///
 /// `reset()` races with every other registry/sink operation on the same
-/// scope: a test that calls it while another test is mid-assertion on the
-/// root memory sink will see the other test's state vanish. Any code that
-/// pairs `reset()` with [`install_memory_sink`]/[`set_level`] (i.e. every
-/// telemetry-asserting test) must hold the process-wide [`test_lock`] for
-/// the whole setup-act-assert sequence — [`test_scope`] bundles the common
-/// case. Production callers ([`begin_model_run`], the parallel runner's
-/// per-model [`ModelScope`]s) operate on disjoint scopes and are exempt.
+/// scope: called on the root scope while another thread is mid-assertion
+/// on it, it makes that thread's state vanish. Telemetry-asserting tests
+/// therefore take [`test_scope`], which serialises them and gives each its
+/// own registry, so neither a `reset()` nor the recordings of tests running
+/// alongside reach another test's assertions. Production callers
+/// ([`begin_model_run`], the parallel runner's per-model [`ModelScope`]s)
+/// operate on disjoint scopes and are exempt.
 pub fn reset() {
     with_registry(|r| {
         r.spans.lock().clear();
@@ -434,29 +436,57 @@ pub fn reset() {
 
 static TEST_GATE: Mutex<()> = Mutex::new(());
 
-/// Guard returned by [`test_lock`]/[`test_scope`]; releases the process-wide
-/// telemetry test mutex on drop.
-pub struct TestGuard(#[allow(dead_code)] parking_lot::MutexGuard<'static, ()>);
+/// The scope of the test currently holding [`test_scope`], if any. The
+/// monitor endpoints render it in place of the root scope.
+static TEST_ROOT: Mutex<Option<Arc<ScopeInner>>> = Mutex::new(None);
 
-/// Acquire the process-wide lock that serialises tests mutating global
-/// telemetry state (level, root registry, root sink). See the contract on
-/// [`reset`]. Every integration/unit test that calls [`reset`],
-/// [`set_level`] or [`install_memory_sink`] must hold this guard for its
-/// full duration; otherwise parallel test threads interleave installs and
-/// drains and assertions read each other's events.
-pub fn test_lock() -> TestGuard {
-    TestGuard(TEST_GATE.lock())
+/// Guard returned by [`test_lock`]/[`test_scope`]. On drop it leaves the
+/// test's own scope (if any), then releases the process-wide telemetry test
+/// mutex. `!Send`: it must drop on the thread that took it.
+pub struct TestGuard {
+    scope: Option<(ModelScope, ScopeGuard)>,
+    _gate: parking_lot::MutexGuard<'static, ()>,
 }
 
-/// [`test_lock`] plus the standard test preamble: set `level`, clear the
-/// root registry, route root events to a fresh (drained) memory sink.
+impl TestGuard {
+    /// The test's own scope ([`test_scope`] guards only). Threads the test
+    /// spawns record into the root scope unless they
+    /// [`ModelScope::enter`] this one.
+    pub fn scope(&self) -> Option<&ModelScope> {
+        self.scope.as_ref().map(|(scope, _)| scope)
+    }
+}
+
+impl Drop for TestGuard {
+    fn drop(&mut self) {
+        if self.scope.take().is_some() {
+            *TEST_ROOT.lock() = None;
+        }
+    }
+}
+
+/// Acquire the process-wide lock that serialises tests mutating global
+/// telemetry state (the level, the root registry and sink, the health
+/// board, the trace directory). See the contract on [`reset`].
+pub fn test_lock() -> TestGuard {
+    TestGuard { scope: None, _gate: TEST_GATE.lock() }
+}
+
+/// [`test_lock`] plus the standard test preamble: set `level`, then give
+/// the calling thread a fresh registry of its own, with an in-memory sink,
+/// until the guard drops. Every free function on this thread (`count`,
+/// `series_points`, `drain_memory_sink`, `reset`, ...) resolves to it, so
+/// telemetry that tests without the lock record concurrently (their fits
+/// see the raised level too) lands in the root scope instead of this
+/// test's assertions.
 pub fn test_scope(level: Level) -> TestGuard {
-    let guard = test_lock();
+    let gate = TEST_GATE.lock();
     set_level(level);
-    reset();
-    install_memory_sink();
-    drain_memory_sink();
-    guard
+    let scope = ModelScope { inner: Arc::new(ScopeInner::new()) };
+    scope.install_memory_sink();
+    *TEST_ROOT.lock() = Some(Arc::clone(&scope.inner));
+    let entered = scope.enter();
+    TestGuard { scope: Some((scope, entered)), _gate: gate }
 }
 
 // ---------------------------------------------------------------- spans

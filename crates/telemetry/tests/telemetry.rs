@@ -2,7 +2,8 @@
 //! state (level, registry, sink), so each test holds the crate's exported
 //! test lock — `tel::test_scope` — for its full duration; Rust runs
 //! integration tests in threads within one process (see the contract on
-//! `reset()`).
+//! `reset()`). The guard gives the test thread a registry of its own;
+//! worker threads a test spawns enter it through `TestGuard::scope`.
 
 use rtgcn_telemetry as tel;
 use std::time::Duration;
@@ -161,7 +162,8 @@ fn gauges_are_inert_at_level_off() {
 
 #[test]
 fn counters_are_atomic_under_crossbeam_threads() {
-    let _g = fresh(tel::Level::Summary);
+    let g = fresh(tel::Level::Summary);
+    let scope = g.scope().expect("test_scope has a scope");
     let c = tel::counter("parallel.hits");
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 10_000;
@@ -169,6 +171,7 @@ fn counters_are_atomic_under_crossbeam_threads() {
         for _ in 0..THREADS {
             let c = c.clone();
             s.spawn(move |_| {
+                let _in = scope.enter();
                 for _ in 0..PER_THREAD {
                     c.inc(1);
                 }
@@ -230,10 +233,12 @@ fn file_sink_writes_parseable_jsonl() {
 
 #[test]
 fn spans_merge_across_threads() {
-    let _g = fresh(tel::Level::Summary);
+    let g = fresh(tel::Level::Summary);
+    let scope = g.scope().expect("test_scope has a scope");
     crossbeam::scope(|s| {
         for _ in 0..4 {
             s.spawn(|_| {
+                let _in = scope.enter();
                 let _root = tel::span("worker");
             });
         }

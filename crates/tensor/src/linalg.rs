@@ -4,7 +4,9 @@
 //! written cache-consciously (i-k-j loop order so the innermost loop streams
 //! both the `b` row and the output row) and parallelised across output rows
 //! with crossbeam scoped threads once the work is large enough to amortise
-//! thread startup.
+//! thread startup. Every product is accumulated, zeros included, so a
+//! non-finite entry in either operand reaches every output it touches
+//! (IEEE `0 × Inf = NaN`).
 
 use crate::tensor::Tensor;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,9 +91,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     par_rows(m, m * n * k, out.data_mut(), n, |i, row| {
         let arow = &ad[i * k..(i + 1) * k];
         for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
             let brow = &bd[p * n..(p + 1) * n];
             for (r, &bv) in row.iter_mut().zip(brow) {
                 *r += av * bv;
@@ -122,9 +121,6 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
             // unchecked load drops a bounds check from the innermost
             // column-strided access the optimiser cannot elide.
             let av = unsafe { *ad.get_unchecked(p * m + i) };
-            if av == 0.0 {
-                continue;
-            }
             let brow = &bd[p * n..(p + 1) * n];
             for (r, &bv) in row.iter_mut().zip(brow) {
                 *r += av * bv;

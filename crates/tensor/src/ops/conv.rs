@@ -8,6 +8,7 @@
 //! `> 1` compresses the temporal dimension, expanding the receptive field as
 //! the paper describes.
 
+use super::shape_ops::permute3_slice;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -42,6 +43,159 @@ impl ConvSpec {
     }
 }
 
+/// Output steps the forward accumulates together, so that one weight-row
+/// load serves all of them (measured faster end to end than one step at a
+/// time).
+const STEPS: usize = 4;
+
+/// Shapes of one conv call, and the kernels that run it.
+///
+/// Both directions run their innermost loop over a contiguous channel
+/// panel, so it vectorises. The forward packs the weight as a
+/// `(C_in·k, C_out)` panel and accumulates every filter of one output step
+/// at once ([`STEPS`] steps at once away from the padding). The backward
+/// accumulates `gw` in that panel layout (vectorised over `C_out`) and `gx`
+/// time-major against a `(C_out, k, C_in)` panel (vectorised over `C_in`).
+/// Each element is still summed in the order of the scalar
+/// one-element-at-a-time loops: bias first, then `ci`-major, tap-minor,
+/// padded taps skipped; `gw` and `gb` over `(b, t)`; `gx` over
+/// `(co, t, j)`. Results are therefore bit-identical to those loops, which
+/// the test module keeps as the oracle.
+#[derive(Clone, Copy, Debug)]
+struct ConvGeom {
+    b: usize,
+    c_in: usize,
+    l: usize,
+    c_out: usize,
+    l_out: usize,
+    spec: ConvSpec,
+}
+
+impl ConvGeom {
+    /// First tap of output step `t` that reads real input, and the input
+    /// position it reads. Taps below it fall in the causal zero padding;
+    /// tap `j ≥ j0` reads position `p0 + (j − j0)·dilation`. The last tap
+    /// always reads step `t·stride` itself, so `j0 < k`.
+    #[inline]
+    fn first_tap(&self, t: usize) -> (usize, usize) {
+        let (origin, pad, dil) = (t * self.spec.stride, self.spec.pad(), self.spec.dilation);
+        let j0 = pad.saturating_sub(origin).div_ceil(dil);
+        (j0, origin + j0 * dil - pad)
+    }
+
+    /// `(B, C_out, L_out)` output of `x: (B, C_in, L)`, `w: (C_out, C_in, k)`.
+    fn forward(&self, x: &[f32], w: &[f32], bias: &[f32]) -> Vec<f32> {
+        let ConvGeom { b, c_in, l, c_out, l_out, spec } = *self;
+        let (k, dil, stride) = (spec.kernel, spec.dilation, spec.stride);
+        // Row `ci·k + j` holds tap `j` of input channel `ci` for every filter.
+        let panel = permute3_slice(w, [1, c_out, c_in * k], [0, 2, 1]);
+        let mut out = vec![0.0f32; b * c_out * l_out];
+        let mut acc_rows = vec![0.0f32; STEPS * c_out];
+        for bi in 0..b {
+            let mut t = 0;
+            while t < l_out {
+                // Once no tap reads padding, blocks of STEPS steps share
+                // each weight-row load; single steps before and at the tail.
+                let (j0, p0) = self.first_tap(t);
+                let steps = if j0 == 0 && t + STEPS <= l_out { STEPS } else { 1 };
+                let acc = &mut acc_rows[..steps * c_out];
+                for row in acc.chunks_exact_mut(c_out.max(1)) {
+                    row.copy_from_slice(bias);
+                }
+                for ci in 0..c_in {
+                    let xrow = &x[(bi * c_in + ci) * l..][..l];
+                    for j in j0..k {
+                        let p = p0 + (j - j0) * dil;
+                        let wrow = &panel[(ci * k + j) * c_out..][..c_out];
+                        if steps == 1 {
+                            let xv = xrow[p];
+                            for (a, &wv) in acc.iter_mut().zip(wrow) {
+                                *a += wv * xv;
+                            }
+                            continue;
+                        }
+                        let [x0, x1, x2, x3]: [f32; STEPS] =
+                            std::array::from_fn(|s| xrow[p + s * stride]);
+                        let (a0, rest) = acc.split_at_mut(c_out);
+                        let (a1, rest) = rest.split_at_mut(c_out);
+                        let (a2, a3) = rest.split_at_mut(c_out);
+                        let rows = a0.iter_mut().zip(a1).zip(a2).zip(a3);
+                        for ((((a0, a1), a2), a3), &wv) in rows.zip(wrow) {
+                            *a0 += wv * x0;
+                            *a1 += wv * x1;
+                            *a2 += wv * x2;
+                            *a3 += wv * x3;
+                        }
+                    }
+                }
+                for (s, row) in acc.chunks_exact(c_out.max(1)).enumerate() {
+                    for (co, &a) in row.iter().enumerate() {
+                        out[(bi * c_out + co) * l_out + t + s] = a;
+                    }
+                }
+                t += steps;
+            }
+        }
+        out
+    }
+
+    /// `(gx, gw, gb)` for the upstream gradient `g: (B, C_out, L_out)`.
+    fn backward(&self, x: &[f32], w: &[f32], g: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let ConvGeom { b, c_in, l, c_out, l_out, spec } = *self;
+        let (k, dil) = (spec.kernel, spec.dilation);
+        // gb and gw, vectorised over C_out: one output step's upstream
+        // gradients at a time, gw in the forward's panel layout.
+        let mut gb = vec![0.0f32; c_out];
+        let mut gw_panel = vec![0.0f32; c_in * k * c_out];
+        let mut gcol = vec![0.0f32; c_out];
+        for bi in 0..b {
+            for t in 0..l_out {
+                for (co, gv) in gcol.iter_mut().enumerate() {
+                    *gv = g[(bi * c_out + co) * l_out + t];
+                }
+                for (s, &gv) in gb.iter_mut().zip(&gcol) {
+                    *s += gv;
+                }
+                let (j0, p0) = self.first_tap(t);
+                for ci in 0..c_in {
+                    let xrow = &x[(bi * c_in + ci) * l..][..l];
+                    for j in j0..k {
+                        let xv = xrow[p0 + (j - j0) * dil];
+                        let row = &mut gw_panel[(ci * k + j) * c_out..][..c_out];
+                        for (s, &gv) in row.iter_mut().zip(&gcol) {
+                            *s += gv * xv;
+                        }
+                    }
+                }
+            }
+        }
+        // gx, vectorised over C_in: filter-major, the order the scalar loop
+        // summed it in, accumulated time-major `(B, L, C_in)` against a
+        // `(C_out, k, C_in)` weight panel.
+        let wt = permute3_slice(w, [c_out, c_in, k], [0, 2, 1]);
+        let mut gx_t = vec![0.0f32; b * l * c_in];
+        for bi in 0..b {
+            for co in 0..c_out {
+                let grow = &g[(bi * c_out + co) * l_out..][..l_out];
+                for (t, &go) in grow.iter().enumerate() {
+                    let (j0, p0) = self.first_tap(t);
+                    for j in j0..k {
+                        let p = p0 + (j - j0) * dil;
+                        let dst = &mut gx_t[(bi * l + p) * c_in..][..c_in];
+                        let wrow = &wt[(co * k + j) * c_in..][..c_in];
+                        for (s, &wv) in dst.iter_mut().zip(wrow) {
+                            *s += go * wv;
+                        }
+                    }
+                }
+            }
+        }
+        let gx = permute3_slice(&gx_t, [b, l, c_in], [0, 2, 1]);
+        let gw = permute3_slice(&gw_panel, [1, c_in * k, c_out], [0, 2, 1]);
+        (gx, gw, gb)
+    }
+}
+
 impl Tape {
     /// Causal strided 1-D convolution.
     ///
@@ -49,7 +203,8 @@ impl Tape {
     /// * `w`: `(C_out, C_in, k)`
     /// * `bias`: `(C_out)`
     ///
-    /// Returns `(B, C_out, L_out)` with `L_out = ⌈L / stride⌉`.
+    /// Returns `(B, C_out, L_out)` with `L_out = ⌈L / stride⌉`. A non-finite
+    /// input or weight reaches every output (and gradient) that reads it.
     pub fn conv1d_causal(&mut self, x: Var, w: Var, bias: Var, spec: ConvSpec) -> Var {
         static CALLS: std::sync::OnceLock<rtgcn_telemetry::Counter> = std::sync::OnceLock::new();
         crate::telemetry_hooks::kernel_counter(&CALLS, "tensor.conv1d_causal.calls").inc(1);
@@ -65,77 +220,12 @@ impl Tape {
         assert_eq!(k, spec.kernel, "weight kernel dim {k} != spec kernel {}", spec.kernel);
         assert_eq!(bv.dims(), [c_out], "bias must be (C_out)");
 
-        let pad = spec.pad();
-        let l_out = spec.out_len(l);
-        let mut out = Tensor::zeros([b, c_out, l_out]);
-        {
-            let (od, xd, wd, bd) = (out.data_mut(), xv.data(), wv.data(), bv.data());
-            for bi in 0..b {
-                // `co` indexes four differently-strided buffers at once; an
-                // iterator chain here would hide the addressing arithmetic.
-                #[allow(clippy::needless_range_loop)]
-                for co in 0..c_out {
-                    let obase = (bi * c_out + co) * l_out;
-                    for t in 0..l_out {
-                        let mut acc = bd[co];
-                        let origin = t * spec.stride; // rightmost input tap (before pad shift)
-                        for ci in 0..c_in {
-                            let xbase = (bi * c_in + ci) * l;
-                            let wbase = (co * c_in + ci) * k;
-                            for j in 0..k {
-                                // padded position = origin + j*dilation; real
-                                // input index = that − pad.
-                                let ppos = origin + j * spec.dilation;
-                                if ppos >= pad {
-                                    let ipos = ppos - pad;
-                                    debug_assert!(ipos <= origin, "causality violated");
-                                    acc += wd[wbase + j] * xd[xbase + ipos];
-                                }
-                            }
-                        }
-                        od[obase + t] = acc;
-                    }
-                }
-            }
-        }
-
+        let geom = ConvGeom { b, c_in, l, c_out, l_out: spec.out_len(l), spec };
+        let out = geom.forward(xv.data(), wv.data(), bv.data());
+        let out = Tensor::new([b, c_out, geom.l_out], out);
         self.push_op_named("conv1d_causal", out, vec![x, w, bias], move |ctx| {
-            let (xd, wd) = (ctx.parents[0].data(), ctx.parents[1].data());
-            let g = ctx.grad.data();
-            let mut gx = vec![0.0f32; b * c_in * l];
-            let mut gw = vec![0.0f32; c_out * c_in * k];
-            let mut gb = vec![0.0f32; c_out];
-            for bi in 0..b {
-                #[allow(clippy::needless_range_loop)]
-                for co in 0..c_out {
-                    let obase = (bi * c_out + co) * l_out;
-                    for t in 0..l_out {
-                        let go = g[obase + t];
-                        if go == 0.0 {
-                            continue;
-                        }
-                        gb[co] += go;
-                        let origin = t * spec.stride;
-                        for ci in 0..c_in {
-                            let xbase = (bi * c_in + ci) * l;
-                            let wbase = (co * c_in + ci) * k;
-                            for j in 0..k {
-                                let ppos = origin + j * spec.dilation;
-                                if ppos >= pad {
-                                    let ipos = ppos - pad;
-                                    gw[wbase + j] += go * xd[xbase + ipos];
-                                    gx[xbase + ipos] += go * wd[wbase + j];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            vec![
-                Tensor::new([b, c_in, l], gx),
-                Tensor::new([c_out, c_in, k], gw),
-                Tensor::from_vec(gb),
-            ]
+            let (gx, gw, gb) = geom.backward(ctx.parents[0].data(), ctx.parents[1].data(), ctx.grad.data());
+            vec![Tensor::new([b, c_in, l], gx), Tensor::new([c_out, c_in, k], gw), Tensor::from_vec(gb)]
         })
     }
 
@@ -160,6 +250,193 @@ impl Tape {
 mod tests {
     use super::*;
     use crate::tape::check_gradient;
+    use proptest::prelude::*;
+
+    /// The scalar loops the panel kernels replaced, kept as their oracle:
+    /// one output element at a time, the padding tested on every tap. The
+    /// backward's former `go == 0.0` skip is left out; it only ever hid
+    /// `0·Inf`, and adding `±0` to an accumulator that starts at `+0.0`
+    /// changes nothing. `co` indexes four differently-strided buffers at
+    /// once, so the loops stay index-based.
+    #[allow(clippy::needless_range_loop)]
+    fn oracle_forward(g: &ConvGeom, xd: &[f32], wd: &[f32], bd: &[f32]) -> Vec<f32> {
+        let ConvGeom { b, c_in, l, c_out, l_out, spec } = *g;
+        let (k, pad) = (spec.kernel, spec.pad());
+        let mut od = vec![0.0f32; b * c_out * l_out];
+        for bi in 0..b {
+            for co in 0..c_out {
+                let obase = (bi * c_out + co) * l_out;
+                for t in 0..l_out {
+                    let mut acc = bd[co];
+                    let origin = t * spec.stride;
+                    for ci in 0..c_in {
+                        let xbase = (bi * c_in + ci) * l;
+                        let wbase = (co * c_in + ci) * k;
+                        for j in 0..k {
+                            let ppos = origin + j * spec.dilation;
+                            if ppos >= pad {
+                                acc += wd[wbase + j] * xd[xbase + ppos - pad];
+                            }
+                        }
+                    }
+                    od[obase + t] = acc;
+                }
+            }
+        }
+        od
+    }
+
+    #[allow(clippy::needless_range_loop)]
+    fn oracle_backward(
+        geom: &ConvGeom,
+        xd: &[f32],
+        wd: &[f32],
+        g: &[f32],
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let ConvGeom { b, c_in, l, c_out, l_out, spec } = *geom;
+        let (k, pad) = (spec.kernel, spec.pad());
+        let mut gx = vec![0.0f32; b * c_in * l];
+        let mut gw = vec![0.0f32; c_out * c_in * k];
+        let mut gb = vec![0.0f32; c_out];
+        for bi in 0..b {
+            for co in 0..c_out {
+                let obase = (bi * c_out + co) * l_out;
+                for t in 0..l_out {
+                    let go = g[obase + t];
+                    gb[co] += go;
+                    let origin = t * spec.stride;
+                    for ci in 0..c_in {
+                        let xbase = (bi * c_in + ci) * l;
+                        let wbase = (co * c_in + ci) * k;
+                        for j in 0..k {
+                            let ppos = origin + j * spec.dilation;
+                            if ppos >= pad {
+                                let ipos = ppos - pad;
+                                gw[wbase + j] += go * xd[xbase + ipos];
+                                gx[xbase + ipos] += go * wd[wbase + j];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (gx, gw, gb)
+    }
+
+    /// Equal bit patterns, or both NaN (a NaN's payload is not portable).
+    fn assert_same_bits(what: &str, got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (a, e)) in got.iter().zip(want).enumerate() {
+            assert!(
+                a.to_bits() == e.to_bits() || (a.is_nan() && e.is_nan()),
+                "{what}[{i}]: panel kernel {a:e} vs scalar oracle {e:e}"
+            );
+        }
+    }
+
+    /// Run both kernels on seeded data and compare every output and
+    /// gradient bit for bit. `poison` 1/2/3 plants a NaN/+Inf/−Inf in `x`
+    /// (odd seeds) or `w` (even seeds), which must then reach every output
+    /// that reads it.
+    fn check_against_oracle(geom: ConvGeom, seed: u64, poison: usize) {
+        let ConvGeom { b, c_in, l, c_out, l_out, spec } = geom;
+        let k = spec.kernel;
+        let mut rng = crate::init::rng(seed);
+        let mut x = crate::init::uniform([b * c_in * l], -2.0, 2.0, &mut rng).into_data();
+        let mut w = crate::init::uniform([c_out * c_in * k], -1.0, 1.0, &mut rng).into_data();
+        let bias = crate::init::uniform([c_out], -0.5, 0.5, &mut rng).into_data();
+        let g = crate::init::uniform([b * c_out * l_out], -1.0, 1.0, &mut rng).into_data();
+        let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let poisoned_x = seed % 2 == 1;
+        let site = (seed / 2) as usize;
+        if poison > 0 {
+            let target = if poisoned_x { &mut x } else { &mut w };
+            let n = target.len();
+            target[site % n] = bad[poison - 1];
+        }
+        let out = geom.forward(&x, &w, &bias);
+        assert_same_bits("out", &out, &oracle_forward(&geom, &x, &w, &bias));
+        let (gx, gw, gb) = geom.backward(&x, &w, &g);
+        let (ox, ow, ob) = oracle_backward(&geom, &x, &w, &g);
+        assert_same_bits("gx", &gx, &ox);
+        assert_same_bits("gw", &gw, &ow);
+        assert_same_bits("gb", &gb, &ob);
+        if poison == 0 {
+            return;
+        }
+        // Tap `j` of step `t` reads input position `t·stride + j·dilation − pad`.
+        let reads = |t: usize, j: usize| (t * spec.stride + j * spec.dilation).checked_sub(spec.pad());
+        for bi in 0..b {
+            for co in 0..c_out {
+                for t in 0..l_out {
+                    let hit = if poisoned_x {
+                        let s = site % x.len();
+                        let (pb, p) = (s / (c_in * l), s % l);
+                        bi == pb && (0..k).any(|j| reads(t, j) == Some(p))
+                    } else {
+                        let s = site % w.len();
+                        co == s / (c_in * k) && reads(t, s % k).is_some()
+                    };
+                    let v = out[(bi * c_out + co) * l_out + t];
+                    assert!(!hit || !v.is_finite(), "output ({bi},{co},{t}) dropped the poison: {v}");
+                }
+            }
+        }
+    }
+
+    fn geom(b: usize, c_in: usize, l: usize, c_out: usize, spec: ConvSpec) -> ConvGeom {
+        ConvGeom { b, c_in, l, c_out, l_out: spec.out_len(l), spec }
+    }
+
+    #[test]
+    fn panel_kernels_match_oracle_on_corner_geometries() {
+        // (B, C_in, L, C_out, k, stride, dilation)
+        let corners = [
+            (2, 3, 6, 5, 1, 1, 1),    // k = 1
+            (2, 3, 7, 5, 1, 2, 1),    // the TCN's 1×1 stride-2 skip projection
+            (1, 2, 9, 3, 3, 1, 3),    // dilation > 1
+            (2, 2, 3, 4, 3, 1, 2),    // L ≤ pad: early steps read only padding but one tap
+            (1, 1, 1, 7, 4, 3, 2),    // a single step, every tap but the last padded
+            (2, 4, 8, 9, 2, 2, 1),    // C_out not a multiple of the vector width
+            (3, 32, 16, 32, 3, 2, 1), // the RT-GCN TCN block
+        ];
+        for (i, &(b, c_in, l, c_out, k, s, d)) in corners.iter().enumerate() {
+            for poison in 0..4 {
+                for seed in [2 * i as u64, 2 * i as u64 + 1] {
+                    check_against_oracle(geom(b, c_in, l, c_out, ConvSpec::new(k, s, d)), seed, poison);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Forward and all three gradients equal the scalar oracle bit for
+        /// bit on random shapes, with and without a non-finite input.
+        #[test]
+        fn panel_kernels_match_scalar_oracle(
+            (b, c_in, l, c_out) in (1usize..4, 1usize..6, 1usize..14, 1usize..12),
+            (k, stride, dilation) in (1usize..5, 1usize..4, 1usize..4),
+            seed in 0u64..1_000_000,
+            poison in 0usize..4,
+        ) {
+            let spec = ConvSpec::new(k, stride, dilation);
+            check_against_oracle(geom(b, c_in, l, c_out, spec), seed, poison);
+        }
+    }
+
+    #[test]
+    fn zero_upstream_gradient_still_propagates_inf_weight() {
+        // 0·Inf = NaN: a zero upstream gradient no longer hides an infinite
+        // weight from the input gradient.
+        let spec = ConvSpec::new(2, 1, 1);
+        let geom = geom(1, 1, 3, 1, spec);
+        let (gx, _, gb) = geom.backward(&[1.0, 2.0, 3.0], &[f32::INFINITY, 1.0], &[0.0, 0.0, 0.0]);
+        assert!(gx[..2].iter().all(|v| v.is_nan()), "{gx:?}");
+        assert_eq!(gx[2], 0.0);
+        assert_eq!(gb, vec![0.0]);
+    }
 
     #[test]
     fn identity_kernel_preserves_input() {

@@ -21,22 +21,21 @@ fn permute3_data(x: &Tensor, perm: [usize; 3]) -> Tensor {
         }
     }
     let d = x.dims();
-    let od = permuted_dims(d, perm);
-    let strides = x.shape().strides();
-    let mut out = Tensor::zeros(od);
-    let out_data = out.data_mut();
-    let xd = x.data();
-    let mut flat = 0;
-    for i in 0..od[0] {
-        for j in 0..od[1] {
-            for k in 0..od[2] {
-                let mut idx = [0usize; 3];
-                idx[perm[0]] = i;
-                idx[perm[1]] = j;
-                idx[perm[2]] = k;
-                out_data[flat] = xd[idx[0] * strides[0] + idx[1] * strides[1] + idx[2] * strides[2]];
-                flat += 1;
-            }
+    let data = permute3_slice(x.data(), [d[0], d[1], d[2]], perm);
+    Tensor::new(permuted_dims(d, perm), data)
+}
+
+/// Row-major `(d0, d1, d2)` data with its axes permuted so that output axis
+/// `i` is input axis `perm[i]`. Walks the input with precomputed strides,
+/// one contiguous output row at a time.
+pub(crate) fn permute3_slice(xd: &[f32], d: [usize; 3], perm: [usize; 3]) -> Vec<f32> {
+    let stride = [d[1] * d[2], d[2], 1];
+    let (od, os) = (perm.map(|p| d[p]), perm.map(|p| stride[p]));
+    let mut out = vec![0.0f32; xd.len()];
+    for (r, row) in out.chunks_exact_mut(od[2].max(1)).enumerate() {
+        let base = (r / od[1]) * os[0] + (r % od[1]) * os[1];
+        for (k, o) in row.iter_mut().enumerate() {
+            *o = xd[base + k * os[2]];
         }
     }
     out
@@ -235,14 +234,28 @@ mod tests {
 
     #[test]
     fn permute3_roundtrip() {
-        let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::new([2, 3, 4], (0..24).map(|v| v as f32).collect()));
-        let p = tape.permute3(x, [1, 2, 0]);
-        assert_eq!(tape.value(p).dims(), &[3, 4, 2]);
-        let back = tape.permute3(p, [2, 0, 1]);
-        assert_eq!(tape.value(back), tape.value(x));
-        // element check: out[j,k,i] == in[i,j,k]
-        assert_eq!(tape.value(p).at(&[2, 3, 1]), tape.value(x).at(&[1, 2, 3]));
+        let perms = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+        for perm in perms {
+            let mut tape = Tape::new();
+            let x = tape.leaf(Tensor::new([2, 3, 4], (0..24).map(|v| v as f32).collect()));
+            let p = tape.permute3(x, perm);
+            let (xv, pv) = (tape.value(x), tape.value(p));
+            assert_eq!(pv.dims(), permuted_dims(xv.dims(), perm), "{perm:?}");
+            // Naive reference: out[o] == in[idx] with idx[perm[a]] = o[a].
+            for i in 0..pv.dims()[0] {
+                for j in 0..pv.dims()[1] {
+                    for k in 0..pv.dims()[2] {
+                        let mut idx = [0; 3];
+                        for (a, o) in [i, j, k].into_iter().enumerate() {
+                            idx[perm[a]] = o;
+                        }
+                        assert_eq!(pv.at(&[i, j, k]), xv.at(&idx), "{perm:?} at {:?}", [i, j, k]);
+                    }
+                }
+            }
+            let back = tape.permute3(p, inverse_perm(perm));
+            assert_eq!(tape.value(back), tape.value(x), "{perm:?} round trip");
+        }
     }
 
     #[test]

@@ -42,6 +42,51 @@ proptest! {
         prop_assert!(via_nt.allclose(&expect, 1e-3));
     }
 
+    /// IEEE propagation through all three matmul variants: a NaN or ±Inf
+    /// in one operand reaches every output that multiplies it, including
+    /// where the entry it meets in the other operand is zero
+    /// (`0 × Inf = NaN`), and no other output.
+    #[test]
+    fn matmul_variants_propagate_non_finite(
+        (m, k, n) in (1usize..6, 1usize..6, 1usize..6),
+        (row, col, bad) in (0usize..6, 0usize..6, 0usize..3),
+        (poison_a, zero_partner) in (0usize..2, 0usize..2),
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = rtgcn_tensor::init::rng(seed);
+        let mut a = rtgcn_tensor::init::uniform([m, k], -2.0, 2.0, &mut rng);
+        let mut b = rtgcn_tensor::init::uniform([k, n], -2.0, 2.0, &mut rng);
+        let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][bad];
+        let p = col % k;
+        // Poison a[i0, p] (row i0 of the product) or b[p, j0] (column j0);
+        // optionally zero the entries of the other operand it meets.
+        let (i0, j0) = (row % m, col % n);
+        if poison_a == 1 {
+            *a.at_mut(&[i0, p]) = bad;
+            if zero_partner == 1 {
+                (0..n).for_each(|j| *b.at_mut(&[p, j]) = 0.0);
+            }
+        } else {
+            *b.at_mut(&[p, j0]) = bad;
+            if zero_partner == 1 {
+                (0..m).for_each(|i| *a.at_mut(&[i, p]) = 0.0);
+            }
+        }
+        let reads_poison = |i: usize, j: usize| if poison_a == 1 { i == i0 } else { j == j0 };
+        for (name, c) in [
+            ("matmul", linalg::matmul(&a, &b)),
+            ("matmul_tn", linalg::matmul_tn(&a.transpose(), &b)),
+            ("matmul_nt", linalg::matmul_nt(&a, &b.transpose())),
+        ] {
+            for i in 0..m {
+                for j in 0..n {
+                    let v = c.at(&[i, j]);
+                    prop_assert!(v.is_finite() != reads_poison(i, j), "{name}[{i},{j}] = {v}");
+                }
+            }
+        }
+    }
+
     /// Transpose is an involution.
     #[test]
     fn transpose_involution(a in matrix(5, 3)) {

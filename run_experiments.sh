@@ -294,6 +294,10 @@ cargo build --release --workspace
 # inventory.
 cargo clippy --workspace -- -D warnings
 $B/rtgcn-lint --deny --json results/LINT.json
+# Test gate: every crate's suite, not just the root package's — stream
+# parity, checkpoint round trips, golden HTTP and hot-swap guard each
+# kernel change before the harnesses spend hours on it.
+cargo test --workspace -q
 # Live-observability smoke: every queue run proves the monitor transport
 # (all four endpoints, ephemeral loopback port) before burning hours on
 # the harnesses it is meant to make watchable.
