@@ -10,8 +10,8 @@ use rtgcn_core::{FitReport, StockRanker};
 use rtgcn_graph::RelationTensor;
 use rtgcn_market::{RelationKind, StockDataset};
 use rtgcn_tensor::{
-    clip_grad_norm, init, Adam, ConvSpec, CsrEdges, Optimizer, ParamId, ParamStore, Tape, Tensor,
-    Var,
+    clip_grad_norm, init, Adam, ConvSpec, CsrEdges, Edges, Optimizer, ParamId, ParamStore, Tape,
+    Tensor, Var,
 };
 use std::time::Instant;
 
@@ -115,17 +115,10 @@ impl RtGat {
         self.fc_b = Some(self.store.add("fc.b", Tensor::zeros([1])));
     }
 
-    /// The GAT layer fused across all time planes: `(T, N, D)` → `(T, N, F)`
-    /// via two `(T·N, D)` matmuls, batched gathers/softmax for the attention
-    /// logits, and one batched propagation through the CSR layout.
-    fn gat_all(&self, tape: &mut Tape, x3: Var, t: usize, n: usize) -> Var {
-        let csr = self.csr.clone().unwrap();
-        let edges = &csr.edges;
-        let f = self.cfg.filters;
-        let d = tape.value(x3).dims()[2];
-        let x2 = tape.reshape(x3, [t * n, d]);
-        let w = self.store.bind(tape, self.w_feat.unwrap());
-        let h2 = tape.matmul(x2, w); // (T·N, F)
+    /// Attention coefficients `(T, E)` of every plane from the projected
+    /// features `h2: (T·N, F)`: batched gathers of the source and
+    /// destination scores, LeakyReLU, and a per-destination softmax.
+    fn attention(&self, tape: &mut Tape, edges: &Edges, h2: Var, t: usize, n: usize) -> Var {
         let a_src = self.store.bind(tape, self.a_src.unwrap());
         let a_dst = self.store.bind(tape, self.a_dst.unwrap());
         let s_src = tape.matmul(h2, a_src); // (T·N, 1)
@@ -136,7 +129,20 @@ impl RtGat {
         let per_dst = tape.gather_dst_batched(edges, s_dst);
         let logits_pre = tape.add(per_src, per_dst);
         let logits = tape.leaky_relu(logits_pre);
-        let attn = tape.segment_softmax_batched(edges, logits); // (T, E)
+        tape.segment_softmax_batched(edges, logits)
+    }
+
+    /// The GAT layer fused across all time planes: `(T, N, D)` → `(T, N, F)`
+    /// via two `(T·N, D)` matmuls, the batched [`Self::attention`], and one
+    /// batched propagation through the CSR layout.
+    fn gat_all(&self, tape: &mut Tape, x3: Var, t: usize, n: usize) -> Var {
+        let csr = self.csr.clone().unwrap();
+        let f = self.cfg.filters;
+        let d = tape.value(x3).dims()[2];
+        let x2 = tape.reshape(x3, [t * n, d]);
+        let w = self.store.bind(tape, self.w_feat.unwrap());
+        let h2 = tape.matmul(x2, w); // (T·N, F)
+        let attn = self.attention(tape, &csr.edges, h2, t, n); // (T, E)
         let h3 = tape.reshape(h2, [t, n, f]);
         let agg = tape.spmm_batched(&csr, attn, h3); // (T, N, F)
         // Root-node term (same ST-GCN partitioning rationale as RT-GCN's
@@ -224,7 +230,6 @@ impl StockRanker for RtGat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recurrent::split_window;
     use rtgcn_market::{Market, Scale, UniverseSpec};
 
     fn tiny_ds() -> StockDataset {
@@ -262,34 +267,25 @@ mod tests {
     fn attention_normalises_per_destination() {
         let ds = tiny_ds();
         let mut m = RtGat::new(tiny_cfg(), 2);
-        let relations = ds.relations(RelationKind::Both);
-        m.ensure_built(&relations);
-        let s = ds.sample(40, 8, 2);
+        m.ensure_built(&ds.relations(RelationKind::Both));
+        let (t, n) = (8, 8);
+        let s = ds.sample(40, t, 2);
         let mut tape = Tape::new();
-        let xs = split_window(&mut tape, &s.x);
-        // Recompute attention weights by hand for plane 0, with the serial
-        // (edge-list) ops — the batched path must normalise identically.
-        let edges = m.csr.clone().unwrap().edges;
+        let x3 = tape.constant(s.x.clone());
+        let x2 = tape.reshape(x3, [t * n, 2]);
         let w = m.store.bind(&mut tape, m.w_feat.unwrap());
-        let h = tape.matmul(xs[0], w);
-        let a_src = m.store.bind(&mut tape, m.a_src.unwrap());
-        let a_dst = m.store.bind(&mut tape, m.a_dst.unwrap());
-        let ss = tape.matmul(h, a_src);
-        let sd = tape.matmul(h, a_dst);
-        let ss = tape.reshape(ss, [8]);
-        let sd = tape.reshape(sd, [8]);
-        let ps = tape.gather_src(&edges, ss);
-        let pd = tape.gather_dst(&edges, sd);
-        let pre = tape.add(ps, pd);
-        let logits = tape.leaky_relu(pre);
-        let attn = tape.segment_softmax(&edges, logits);
-        let av = tape.value(attn);
-        let mut sums = vec![0.0f32; 8];
-        for (e, p) in edges.pairs.iter().enumerate() {
-            sums[p[1]] += av.data()[e];
-        }
-        for (i, s) in sums.iter().enumerate() {
-            assert!((s - 1.0).abs() < 1e-4, "attention at node {i} sums to {s}");
+        let h2 = tape.matmul(x2, w);
+        let edges = m.csr.clone().unwrap().edges;
+        let attn = m.attention(&mut tape, &edges, h2, t, n);
+        assert_eq!(tape.value(attn).dims(), &[t, edges.len()]);
+        for (p, plane) in tape.value(attn).data().chunks(edges.len()).enumerate() {
+            let mut sums = [0.0f32; 8];
+            for (a, pair) in plane.iter().zip(edges.pairs.iter()) {
+                sums[pair[1]] += a;
+            }
+            for (i, s) in sums.iter().enumerate() {
+                assert!((s - 1.0).abs() < 1e-4, "plane {p}: attention at node {i} sums to {s}");
+            }
         }
         m.store.clear_bindings();
     }

@@ -1,7 +1,7 @@
 //! # rtgcn-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
-//! `src/bin/`) plus Criterion micro-benchmarks (`benches/`). Shared pieces:
+//! `src/bin/`). Shared pieces:
 //!
 //! - [`cli`] — harness flags (`--scale`, `--seeds`, `--epochs`, ...);
 //! - [`models`] — the unified [`models::Spec`] over RT-GCN, its ablations

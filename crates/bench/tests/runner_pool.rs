@@ -118,7 +118,7 @@ fn a_hung_model_times_out_and_is_journalled_as_failed() {
     cfg.context = "timeout-it".into();
     cfg.journal = Some(journal.clone());
     let rows =
-        evaluate_roster(&roster, &ds, &tiny_common(), RelationKind::Both, &[1], &[1], &mut cfg);
+        evaluate_roster(&roster, &ds, &tiny_common(), RelationKind::Both, &[1], &[1], &cfg);
     assert_eq!(rows[0].failed_seeds.len(), 1);
     assert!(rows[0].failed_seeds[0].reason.contains("timed out"));
     assert!(rows[1].failed_seeds.is_empty(), "fast sibling finishes despite the hung job");

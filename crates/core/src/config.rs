@@ -66,21 +66,6 @@ pub struct RtGcnConfig {
     /// `HealthVerdict::Diverged` (opt-in; the default keeps the paper's
     /// fixed epoch budget).
     pub abort_on_divergence: bool,
-    /// Use the fused time-batched GCN kernels (default). The serial
-    /// per-plane reference path is kept alive for parity testing and
-    /// before/after benchmarking; set `RTGCN_FUSED=0` in the environment to
-    /// make `Default` select it.
-    pub fused: bool,
-}
-
-/// Default for [`RtGcnConfig::fused`]: fused unless `RTGCN_FUSED` is set to
-/// `0`/`false`/`off` (a benchmarking escape hatch, re-read on every call so
-/// tests can flip it).
-pub fn fused_default() -> bool {
-    match std::env::var("RTGCN_FUSED") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off"),
-        Err(_) => true,
-    }
 }
 
 impl Default for RtGcnConfig {
@@ -102,7 +87,6 @@ impl Default for RtGcnConfig {
             use_relational: true,
             use_temporal: true,
             abort_on_divergence: false,
-            fused: fused_default(),
         }
     }
 }
@@ -165,9 +149,6 @@ mod tests {
         assert_eq!(c.strategy, Strategy::TimeSensitive);
         assert_eq!(c.lambda, 0.01);
         assert_eq!(c.lr, 1e-3);
-        if std::env::var("RTGCN_FUSED").is_err() {
-            assert!(c.fused, "fused kernels are the default path");
-        }
     }
 
     #[test]
@@ -182,15 +163,11 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        let mut c = RtGcnConfig::default();
-        c.n_features = 5;
+        let c = RtGcnConfig { n_features: 5, ..Default::default() };
         assert!(c.validate().is_err());
-        let mut c = RtGcnConfig::default();
-        c.use_relational = false;
-        c.use_temporal = false;
+        let c = RtGcnConfig { use_relational: false, use_temporal: false, ..Default::default() };
         assert!(c.validate().is_err());
-        let mut c = RtGcnConfig::default();
-        c.layers = 0;
+        let c = RtGcnConfig { layers: 0, ..Default::default() };
         assert!(c.validate().is_err());
     }
 

@@ -160,20 +160,6 @@ impl RtGcn {
         self.store.num_scalars()
     }
 
-    /// Save trained parameters as a raw [`rtgcn_tensor::ParamStore`] dump.
-    /// For a durable, versioned, checksummed container that also records
-    /// the config and dataset descriptor (what `rtgcn-serve` boots from),
-    /// use [`crate::Checkpoint`] instead.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        self.store.save(path)
-    }
-
-    /// Load parameters from a checkpoint produced by [`RtGcn::save`] into a
-    /// model built with the same configuration and relation graph.
-    pub fn load(&mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        self.store.load(path)
-    }
-
     /// Check the `(T, N, D)` input against the configuration.
     fn check_input(&self, x: &Tensor) {
         let (t, n, d) = (x.dims()[0], x.dims()[1], x.dims()[2]);
@@ -182,37 +168,11 @@ impl RtGcn {
         assert_eq!(d, self.config.n_features, "feature count mismatch");
     }
 
-    /// Split an `(T, N, D)` input tensor into per-plane `(N, D)` vars.
-    fn split_steps(&self, tape: &mut Tape, x: &Tensor) -> Vec<Var> {
-        self.check_input(x);
-        let (t, n, d) = (x.dims()[0], x.dims()[1], x.dims()[2]);
-        let xv = tape.constant(x.clone());
-        (0..t)
-            .map(|s| {
-                let plane = tape.slice_rows(xv, s, s + 1);
-                tape.reshape(plane, [n, d])
-            })
-            .collect()
-    }
-
-    /// Forward pass producing the ranking scores `r̂ ∈ R^N`. Dispatches to
-    /// the fused time-batched kernels (the default) or the serial per-plane
-    /// reference path (`config.fused = false`, kept for parity testing and
-    /// before/after benchmarking). Both paths record the same
-    /// `kernel.gcn.*` latency histograms, so `rtgcn-report` snapshots stay
-    /// comparable across the flag.
+    /// Forward pass producing the ranking scores `r̂ ∈ R^N`. The window
+    /// stays a rank-3 `(T, N, C)` tensor end to end: one batched propagation
+    /// and two `(T·N, C)` matmuls per relational layer, permutes (no
+    /// per-plane slicing) around the TCN.
     pub fn forward(&mut self, tape: &mut Tape, x: &Tensor, training: bool) -> Var {
-        if self.config.fused {
-            self.forward_fused(tape, x, training)
-        } else {
-            self.forward_serial(tape, x, training)
-        }
-    }
-
-    /// Fused path: the window stays a rank-3 `(T, N, C)` tensor end to end —
-    /// one batched propagation + two `(T·N, C)` matmuls per relational
-    /// layer, permutes (no per-plane slicing) around the TCN.
-    fn forward_fused(&mut self, tape: &mut Tape, x: &Tensor, training: bool) -> Var {
         self.check_input(x);
         let n = self.n_stocks;
         let mut cur = tape.constant(x.clone()); // (T, N, C)
@@ -221,7 +181,7 @@ impl RtGcn {
             if self.config.use_relational {
                 let _span = rtgcn_telemetry::span("relational");
                 let t = Instant::now();
-                cur = self.rel_convs[rel_i].forward_fused(tape, &self.store, &self.ctx, cur, training);
+                cur = self.rel_convs[rel_i].forward(tape, &self.store, &self.ctx, cur, training);
                 let dt = elapsed_ns(t);
                 self.phases.relational_ns += dt;
                 rtgcn_telemetry::record_ns("kernel.gcn.relational_ns", dt);
@@ -242,54 +202,6 @@ impl RtGcn {
         }
         // Average pooling over the remaining temporal dimension (stride = H).
         let pooled = tape.mean_axis(cur, 0); // (N, C)
-        let fc_w = self.store.bind(tape, self.fc_w);
-        let fc_b = self.store.bind(tape, self.fc_b);
-        let scores = tape.linear(pooled, fc_w, fc_b); // (N, 1)
-        tape.reshape(scores, [n])
-    }
-
-    /// Serial reference path: one `(N, D)` var per plane, `T` separate
-    /// spmm + matmul chains per relational layer.
-    fn forward_serial(&mut self, tape: &mut Tape, x: &Tensor, training: bool) -> Var {
-        let mut xs = self.split_steps(tape, x);
-        let n = self.n_stocks;
-        let (mut rel_i, mut tcn_i) = (0usize, 0usize);
-        for _layer in 0..self.config.layers {
-            if self.config.use_relational {
-                let _span = rtgcn_telemetry::span("relational");
-                let t = Instant::now();
-                xs = self.rel_convs[rel_i].forward(tape, &self.store, &self.ctx, &xs);
-                let dt = elapsed_ns(t);
-                self.phases.relational_ns += dt;
-                rtgcn_telemetry::record_ns("kernel.gcn.relational_ns", dt);
-                rel_i += 1;
-            }
-            if self.config.use_temporal {
-                let _span = rtgcn_telemetry::span("temporal");
-                let t = Instant::now();
-                let stacked = tape.stack0(&xs); // (T, N, C)
-                let nct = tape.permute3(stacked, [1, 2, 0]); // (N, C, T)
-                let out =
-                    self.tcn_blocks[tcn_i].forward(tape, &self.store, nct, training, &mut self.rng);
-                tcn_i += 1;
-                // Back to per-plane layout for a possible next layer.
-                let tnc = tape.permute3(out, [2, 0, 1]); // (T', N, C)
-                let t_out = tape.value(tnc).dims()[0];
-                let c = tape.value(tnc).dims()[2];
-                xs = (0..t_out)
-                    .map(|s| {
-                        let plane = tape.slice_rows(tnc, s, s + 1);
-                        tape.reshape(plane, [n, c])
-                    })
-                    .collect();
-                let dt = elapsed_ns(t);
-                self.phases.temporal_ns += dt;
-                rtgcn_telemetry::record_ns("kernel.gcn.temporal_ns", dt);
-            }
-        }
-        // Average pooling over the remaining temporal dimension (stride = H).
-        let stacked = tape.stack0(&xs); // (T', N, C)
-        let pooled = tape.mean_axis(stacked, 0); // (N, C)
         let fc_w = self.store.bind(tape, self.fc_w);
         let fc_b = self.store.bind(tape, self.fc_b);
         let scores = tape.linear(pooled, fc_w, fc_b); // (N, 1)
@@ -391,41 +303,21 @@ impl RtGcn {
         self.store.value_norm()
     }
 
-    /// Snapshot of the strategy's weighted adjacency for introspection
-    /// (Figure 8 case study): one weight vector per time-step, aligned with
-    /// `self.ctx.edges` (relation edges then self-loops). Uniform/Weighted
-    /// return a single shared snapshot.
+    /// Snapshot of the first relational layer's inference adjacency for
+    /// introspection (Figure 8 case study): one weight vector per time-step,
+    /// aligned with `self.ctx.edges` (relation edges then self-loops).
+    /// Uniform/Weighted return a single shared snapshot; empty when the
+    /// relational module is disabled (T-Conv).
     pub fn adjacency_snapshot(&mut self, x: &Tensor) -> Vec<Vec<f32>> {
-        use crate::config::Strategy;
-        let mut tape = Tape::new();
-        let xs = self.split_steps(&mut tape, x);
-        let conv = self.rel_convs.first();
-        let out = match self.config.strategy {
-            Strategy::Uniform => {
-                let a = self.ctx.adjacency_uniform(&mut tape);
-                vec![tape.value(a).data().to_vec()]
-            }
-            Strategy::Weighted => {
-                // lint:allow(panic-free-hot-paths) weighted strategy implies the relational module (validated at construction)
-                let conv = conv.expect("relational module disabled");
-                let w = self.store.bind(&mut tape, conv.w_rel);
-                let b = self.store.bind(&mut tape, conv.b_rel);
-                let a = self.ctx.adjacency_weighted(&mut tape, w, b);
-                vec![tape.value(a).data().to_vec()]
-            }
-            Strategy::TimeSensitive => {
-                // lint:allow(panic-free-hot-paths) time-sensitive strategy implies the relational module (validated at construction)
-                let conv = conv.expect("relational module disabled");
-                xs.iter()
-                    .map(|&x_t| {
-                        let w = self.store.bind(&mut tape, conv.w_rel);
-                        let b = self.store.bind(&mut tape, conv.b_rel);
-                        let a = self.ctx.adjacency_time_sensitive(&mut tape, w, b, x_t);
-                        tape.value(a).data().to_vec()
-                    })
-                    .collect()
-            }
+        self.check_input(x);
+        let Some(conv) = self.rel_convs.first() else {
+            return Vec::new();
         };
+        let mut tape = Tape::new();
+        let x3 = tape.constant(x.clone());
+        let adj = conv.adjacency(&mut tape, &self.store, &self.ctx, x3, false);
+        let e = self.ctx.edges.len();
+        let out = tape.value(adj).data().chunks(e).map(<[f32]>::to_vec).collect();
         self.store.clear_bindings();
         out
     }
@@ -490,55 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_serial_scores_match() {
-        for strategy in Strategy::ALL {
-            let mut cfg = RtGcnConfig::with_strategy(strategy);
-            cfg.t_steps = 8;
-            cfg.n_features = 3;
-            cfg.dropout = 0.0;
-            cfg.fused = true;
-            let mut serial_cfg = cfg.clone();
-            serial_cfg.fused = false;
-            let rel = relations(5);
-            let mut fused = RtGcn::new(cfg, &rel, 21);
-            let mut serial = RtGcn::new(serial_cfg, &rel, 21);
-            let (x, _) = toy_input(8, 5, 3, 22);
-            let (sf, ss) = (fused.score(&x), serial.score(&x));
-            for (f, s) in sf.iter().zip(&ss) {
-                assert!(
-                    (f - s).abs() <= 1e-6 * s.abs().max(1.0),
-                    "{strategy:?}: fused {f} vs serial {s}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fused_training_tracks_serial_losses() {
-        let mut cfg = RtGcnConfig::with_strategy(Strategy::TimeSensitive);
-        cfg.t_steps = 8;
-        cfg.n_features = 2;
-        cfg.dropout = 0.0;
-        cfg.fused = true;
-        let mut serial_cfg = cfg.clone();
-        serial_cfg.fused = false;
-        let rel = relations(5);
-        let mut fused = RtGcn::new(cfg, &rel, 23);
-        let mut serial = RtGcn::new(serial_cfg, &rel, 23);
-        let (x, y) = toy_input(8, 5, 2, 24);
-        let mut opt_f = Adam::new(1e-3, 0.0);
-        let mut opt_s = Adam::new(1e-3, 0.0);
-        for step in 0..5 {
-            let lf = fused.train_step(&x, &y, &mut opt_f);
-            let ls = serial.train_step(&x, &y, &mut opt_s);
-            assert!(
-                (lf - ls).abs() <= 1e-3 * ls.abs().max(1.0),
-                "step {step}: fused loss {lf} vs serial {ls}"
-            );
-        }
-    }
-
-    #[test]
     fn training_reduces_loss() {
         let mut cfg = RtGcnConfig::with_strategy(Strategy::Weighted);
         cfg.t_steps = 8;
@@ -587,32 +430,12 @@ mod tests {
         cfg.n_features = 2;
         let mut model = RtGcn::new(cfg, &relations(4), 13);
         assert_eq!(model.adjacency_snapshot(&x).len(), 1, "shared adjacency");
-    }
 
-    #[test]
-    fn checkpoint_roundtrip_preserves_scores() {
-        let dir = std::env::temp_dir().join("rtgcn_model_ckpt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.rtgp");
-        let mut cfg = RtGcnConfig::with_strategy(Strategy::Weighted);
-        cfg.t_steps = 6;
+        let mut cfg = RtGcnConfig::t_conv();
+        cfg.t_steps = 5;
         cfg.n_features = 2;
-        cfg.dropout = 0.0;
-        let rel = relations(4);
-        let mut a = RtGcn::new(cfg.clone(), &rel, 31);
-        let (x, y) = toy_input(6, 4, 2, 32);
-        let mut opt = Adam::new(1e-3, 0.0);
-        for _ in 0..5 {
-            a.train_step(&x, &y, &mut opt);
-        }
-        let expect = a.score(&x);
-        a.save(&path).unwrap();
-        // Fresh model with different seed, then load the checkpoint.
-        let mut b = RtGcn::new(cfg, &rel, 99);
-        assert_ne!(b.score(&x), expect, "different init should differ");
-        b.load(&path).unwrap();
-        assert_eq!(b.score(&x), expect, "loaded model must reproduce scores");
-        std::fs::remove_dir_all(&dir).ok();
+        let mut model = RtGcn::new(cfg, &relations(4), 13);
+        assert!(model.adjacency_snapshot(&x).is_empty(), "T-Conv propagates no adjacency");
     }
 
     #[test]

@@ -221,12 +221,11 @@ impl StockRanker for RtGcn {
         use crate::config::Strategy;
         match corr {
             // The override is only sound when exactly one relational layer
-            // consumes the raw input window on the fused path: with stacked
-            // layers the second convolution dots *hidden* activations, which
-            // the per-plane cache does not model.
+            // consumes the raw input window: with stacked layers the second
+            // convolution dots *hidden* activations, which the per-plane
+            // cache does not model.
             Some(c)
-                if self.config.fused
-                    && self.config.use_relational
+                if self.config.use_relational
                     && self.config.layers == 1
                     && self.config.strategy == Strategy::TimeSensitive =>
             {

@@ -10,9 +10,8 @@ use rtgcn_tensor::{CsrEdges, Edges, Tape, Tensor, Var};
 
 /// Static per-dataset context shared by every forward pass: the directed
 /// relation edges with self-loops appended (plus their CSR grouping and the
-/// precomputed/memoised normalised adjacencies in [`NormalizedAdjCache`]),
-/// the per-edge multi-hot relation vectors, and the precomputed
-/// uniform-strategy weights.
+/// precomputed/memoised normalised adjacencies in [`NormalizedAdjCache`])
+/// and the per-edge multi-hot relation vectors.
 #[derive(Clone, Debug)]
 pub struct StrategyCtx {
     /// Relation edges followed by one self-loop per node (order matters:
@@ -27,10 +26,8 @@ pub struct StrategyCtx {
     pub k_types: usize,
     /// `(E_rel, K)` multi-hot matrix, one row per relation edge.
     pub multi_hot: Tensor,
-    /// Precomputed Eq. 3 weights (already renormalised), length `E_total`.
-    pub uniform_weights: Vec<f32>,
-    /// CSR layouts + static/frozen normalised adjacencies for the fused
-    /// kernels.
+    /// CSR layout, the precomputed Eq. 3 weights and the frozen weighted
+    /// adjacency memo for the batched kernels.
     pub cache: NormalizedAdjCache,
     /// Streaming fast path: a precomputed `(T, E_rel)` correlation factor
     /// for the time-sensitive strategy, supplied by the day-advance engine's
@@ -71,7 +68,6 @@ impl StrategyCtx {
             n_rel_edges: n_rel,
             k_types: k.max(1),
             multi_hot,
-            uniform_weights: cache.uniform().as_ref().clone(),
             cache,
             corr_override: None,
         }
@@ -81,14 +77,9 @@ impl StrategyCtx {
         self.edges.n
     }
 
-    /// CSR grouping of [`Self::edges`] for the fused propagation kernels.
+    /// CSR grouping of [`Self::edges`] for the batched propagation kernels.
     pub fn csr(&self) -> &CsrEdges {
         self.cache.csr()
-    }
-
-    /// Uniform strategy (Eq. 3): constant renormalised binary adjacency.
-    pub fn adjacency_uniform(&self, tape: &mut Tape) -> Var {
-        tape.constant(Tensor::from_vec(self.uniform_weights.clone()))
     }
 
     /// Relation-importance term `𝒜_ijᵀ w + b` per relation edge (shared by
@@ -127,18 +118,6 @@ impl StrategyCtx {
         self.renormalize_on_tape(tape, imp)
     }
 
-    /// Time-sensitive strategy (Eq. 5):
-    /// `A(t)_ij = (X(t)_iᵀ X(t)_j / √n) · (𝒜_ijᵀ w + b)`, unique per
-    /// time-step. `x_t: (N, D)` are that step's node features; the scaled
-    /// dot-product gradient flows back into them.
-    pub fn adjacency_time_sensitive(&self, tape: &mut Tape, w: Var, b: Var, x_t: Var) -> Var {
-        let d = tape.value(x_t).dims()[1];
-        let corr = tape.edge_dot(&self.rel_edges, x_t, (d as f32).sqrt());
-        let imp = self.relation_importance(tape, w, b);
-        let raw = tape.mul(corr, imp);
-        self.renormalize_on_tape(tape, raw)
-    }
-
     /// Frozen weighted strategy for inference: computes `𝒜ᵀw + b` off-tape
     /// from the parameter *values* and pulls the renormalised weights through
     /// the [`NormalizedAdjCache`] memo, so repeated scoring against fixed
@@ -157,13 +136,15 @@ impl StrategyCtx {
         tape.constant(Tensor::from_vec(weights.as_ref().clone()))
     }
 
-    /// Time-sensitive strategy, fused across all `T` planes: one
-    /// `edge_dot_batched` for the `X(t)ᵀX(t)/√d` correlations, a single
-    /// shared importance term, and one batched renormalisation. `x3` is the
-    /// full `(T, N, D)` window; the result is `(T, E_total)` per-plane edge
-    /// weights for [`rtgcn_tensor::Tape::spmm_batched`]. Matches `T`
-    /// applications of [`Self::adjacency_time_sensitive`] to ~1 ulp (the
-    /// degree product associates differently).
+    /// Time-sensitive strategy (Eq. 5):
+    /// `A(t)_ij = (X(t)_iᵀ X(t)_j / √d) · (𝒜_ijᵀ w + b)`, unique per
+    /// time-step, for all `T` planes at once: one `edge_dot_batched` for the
+    /// correlations, a single shared importance term, and one batched
+    /// renormalisation. `x3` is the full `(T, N, D)` window, and the scaled
+    /// dot-product gradient flows back into it; the result is `(T, E_total)`
+    /// per-plane edge weights for [`rtgcn_tensor::Tape::spmm_batched`].
+    /// Matches a per-plane on-tape renormalisation to ~1 ulp (the degree
+    /// product associates differently).
     pub fn adjacency_time_sensitive_batched(&self, tape: &mut Tape, w: Var, b: Var, x3: Var) -> Var {
         let dims = tape.value(x3).dims().to_vec();
         let (t, d) = (dims[0], dims[2]);
@@ -229,17 +210,14 @@ mod tests {
         assert_eq!(ctx.n_rel_edges, 6, "3 pairs × 2 directions");
         assert_eq!(ctx.edges.len(), 9, "plus 3 self-loops");
         assert_eq!(ctx.multi_hot.dims(), &[6, 2]);
-        assert_eq!(ctx.uniform_weights.len(), 9);
+        assert_eq!(ctx.cache.uniform().len(), 9);
     }
 
     #[test]
     fn uniform_matches_static_renormalisation() {
-        let rel = triangle_relations();
-        let ctx = StrategyCtx::new(&rel);
-        let mut tape = Tape::new();
-        let w = ctx.adjacency_uniform(&mut tape);
+        let ctx = StrategyCtx::new(&triangle_relations());
         // Triangle with self loops: every node degree 3, all weights 1/3.
-        for &v in tape.value(w).data() {
+        for &v in ctx.cache.uniform().iter() {
             assert!((v - 1.0 / 3.0).abs() < 1e-5, "weight {v}");
         }
     }
@@ -254,7 +232,7 @@ mod tests {
         let w = tape.leaf(Tensor::zeros([2, 1]));
         let b = tape.leaf(Tensor::from_vec(vec![1.0]));
         let adj = ctx.adjacency_weighted(&mut tape, w, b);
-        let expect = Tensor::from_vec(ctx.uniform_weights.clone());
+        let expect = Tensor::from_vec(ctx.cache.uniform().to_vec());
         assert!(tape.value(adj).allclose(&expect, 1e-5));
     }
 
@@ -294,22 +272,27 @@ mod tests {
         let mut tape = Tape::new();
         let w = tape.leaf(Tensor::new([2, 1], vec![0.5, 0.5]));
         let b = tape.leaf(Tensor::from_vec(vec![0.1]));
-        let x1 = tape.leaf(Tensor::new([3, 2], vec![1., 0., 0., 1., 1., 1.]));
-        let x2 = tape.leaf(Tensor::new([3, 2], vec![0.2, 0.9, 0.4, 0.1, 0.8, 0.8]));
-        let a1 = ctx.adjacency_time_sensitive(&mut tape, w, b, x1);
-        let a2 = ctx.adjacency_time_sensitive(&mut tape, w, b, x2);
-        assert_ne!(tape.value(a1), tape.value(a2), "adjacency must vary with features");
+        let x3 = tape.leaf(Tensor::new(
+            [2, 3, 2],
+            vec![1., 0., 0., 1., 1., 1., 0.2, 0.9, 0.4, 0.1, 0.8, 0.8],
+        ));
+        let adj = ctx.adjacency_time_sensitive_batched(&mut tape, w, b, x3);
+        let (a1, a2) = tape.value(adj).data().split_at(ctx.edges.len());
+        assert_ne!(a1, a2, "adjacency must vary with features");
     }
 
     #[test]
     fn time_sensitive_gradient_reaches_features() {
         let rel = triangle_relations();
         let ctx = StrategyCtx::new(&rel);
-        let x0 = Tensor::new([3, 2], vec![0.6, -0.2, 0.3, 0.8, -0.5, 0.4]);
+        let x0 = Tensor::new(
+            [2, 3, 2],
+            vec![0.6, -0.2, 0.3, 0.8, -0.5, 0.4, -0.1, 0.7, 0.5, -0.3, 0.2, 0.9],
+        );
         rtgcn_tensor::check_gradient(&x0, 1e-3, 2e-2, move |tape, x| {
             let w = tape.leaf(Tensor::new([2, 1], vec![0.5, -0.7]));
             let b = tape.leaf(Tensor::from_vec(vec![0.2]));
-            let adj = ctx.adjacency_time_sensitive(tape, w, b, x);
+            let adj = ctx.adjacency_time_sensitive_batched(tape, w, b, x);
             let sq = tape.square(adj);
             tape.sum_all(sq)
         })
@@ -335,31 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn time_sensitive_batched_matches_per_plane() {
-        let rel = triangle_relations();
-        let ctx = StrategyCtx::new(&rel);
-        let mut tape = Tape::new();
-        let w = tape.leaf(Tensor::new([2, 1], vec![0.5, -0.2]));
-        let b = tape.leaf(Tensor::from_vec(vec![0.3]));
-        let x_data: Vec<f32> = (0..2 * 3 * 2).map(|i| ((i * 37 + 11) % 17) as f32 / 17.0 - 0.4).collect();
-        let x3 = tape.leaf(Tensor::new([2, 3, 2], x_data.clone()));
-        let batched = ctx.adjacency_time_sensitive_batched(&mut tape, w, b, x3);
-        assert_eq!(tape.value(batched).dims(), &[2, ctx.edges.len()]);
-        for plane in 0..2 {
-            let x_t = tape.leaf(Tensor::new([3, 2], x_data[plane * 6..(plane + 1) * 6].to_vec()));
-            let serial = ctx.adjacency_time_sensitive(&mut tape, w, b, x_t);
-            let e = ctx.edges.len();
-            let got = &tape.value(batched).data()[plane * e..(plane + 1) * e];
-            for (g, s) in got.iter().zip(tape.value(serial).data()) {
-                assert!(
-                    (g - s).abs() <= 1e-6 * s.abs().max(1.0),
-                    "plane {plane}: batched {g} vs serial {s}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn time_sensitive_batched_handles_empty_relations() {
         let rel = RelationTensor::new(4, 1);
         let ctx = StrategyCtx::new(&rel);
@@ -380,9 +338,7 @@ mod tests {
         let ctx = StrategyCtx::new(&rel);
         assert_eq!(ctx.n_rel_edges, 0);
         assert_eq!(ctx.edges.len(), 4);
-        let mut tape = Tape::new();
-        let adj = ctx.adjacency_uniform(&mut tape);
-        for &v in tape.value(adj).data() {
+        for &v in ctx.cache.uniform().iter() {
             assert!((v - 1.0).abs() < 1e-6, "isolated self-loop weight 1, got {v}");
         }
     }

@@ -1,9 +1,9 @@
-//! Precomputed, reusable normalised adjacency — the cache behind the fused
+//! Precomputed, reusable normalised adjacency — the cache behind the
 //! time-batched GCN kernels.
 //!
-//! The serial forward path renormalised `D̃^{-1/2}(A + I)D̃^{-1/2}` from
-//! scratch on every call (and, for the time-sensitive strategy, once per
-//! time plane). This cache precomputes everything that is static per fit:
+//! Renormalising `D̃^{-1/2}(A + I)D̃^{-1/2}` from scratch on every forward
+//! would redo work that only changes when the graph or the parameters do.
+//! This cache precomputes everything that is static per fit:
 //!
 //! - the CSR grouping of the relation edges + self-loops (built once,
 //!   shared by every [`rtgcn_tensor::Tape::spmm_batched`] call);
@@ -14,9 +14,10 @@
 //!   across every scoring call in between (a backtest scores hundreds of
 //!   days against one fixed parameter vector).
 //!
-//! The time-sensitive strategy still rebuilds its `XᵀX/√n` correlation
-//! factor per step — that part genuinely depends on the window — but shares
-//! the cached CSR layout and the once-per-forward importance term.
+//! The time-sensitive strategy still computes its `XᵀX/√d` correlation
+//! factor for every plane of the window — that part genuinely depends on
+//! the window — but shares the cached CSR layout and the once-per-forward
+//! importance term.
 
 use crate::norm::renormalize_uniform;
 use rtgcn_tensor::{CsrEdges, Edges};

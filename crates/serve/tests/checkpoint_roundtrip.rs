@@ -92,6 +92,28 @@ fn rtgcn_time_sensitive_roundtrip() {
     rtgcn_strategy_roundtrip(Strategy::TimeSensitive, "rtgcn-time-sensitive");
 }
 
+/// RT-GCN checkpoints written while its config still had a `fused` switch
+/// carry `"fused":true` (or `false`) in their config JSON. The key is gone;
+/// such a checkpoint must still rebuild a model that scores bit-identically.
+#[test]
+fn rtgcn_checkpoint_with_legacy_fused_key_still_loads() {
+    let (data, ds) = tiny_data();
+    let relations = ds.relations(data.relation_kind);
+    let mut model = RtGcn::new(rtgcn_cfg(Strategy::TimeSensitive), &relations, SEED);
+    model.fit(&ds);
+    let ckpt = checkpoint_rtgcn(&model, &data).unwrap();
+    let window = ds.sample(*ds.test_end_days().last().unwrap(), T_STEPS, N_FEATURES).x;
+    let expect = bits(&model.score_window(&window).unwrap());
+    for fused in [true, false] {
+        let mut old = ckpt.clone();
+        let body = old.config_json.strip_suffix('}').unwrap();
+        old.config_json = format!("{body},\"fused\":{fused}}}");
+        let mut rebuilt =
+            build_model(&old, &ds, None).unwrap_or_else(|e| panic!("fused={fused}: {e}"));
+        assert_eq!(bits(&rebuilt.model.score_window(&window).unwrap()), expect, "fused={fused}");
+    }
+}
+
 fn seq_cfg() -> SeqConfig {
     SeqConfig { t_steps: T_STEPS, n_features: N_FEATURES, hidden: 4, epochs: 1, ..SeqConfig::default() }
 }

@@ -313,8 +313,10 @@ impl Tape {
     }
 
     /// Softmax over the incoming edges of each destination node (numerically
-    /// stable). Used by GAT-style attention: `α_e = softmax_{e'∈in(d)}(y_e)`.
-    pub fn segment_softmax(&mut self, edges: &Edges, logits: Var) -> Var {
+    /// stable): `α_e = softmax_{e'∈in(d)}(y_e)`. One plane only; the test
+    /// oracle for [`Tape::segment_softmax_batched`].
+    #[cfg(test)]
+    pub(crate) fn segment_softmax(&mut self, edges: &Edges, logits: Var) -> Var {
         let lv = self.value(logits);
         assert_eq!(lv.numel(), edges.len(), "one logit per edge required");
         let n = edges.n;
@@ -547,9 +549,10 @@ impl Tape {
         })
     }
 
-    /// Per-plane [`Tape::segment_softmax`]: normalises the incoming-edge
-    /// logits of every destination node independently within each plane.
-    /// `logits: (P, E)` → `(P, E)`. Used by the batched GAT attention.
+    /// Softmax over the incoming edges of each destination node
+    /// (numerically stable), `α_e = softmax_{e'∈in(d)}(y_e)`, independently
+    /// within each plane. `logits: (P, E)` → `(P, E)`. Used by the batched
+    /// GAT attention.
     pub fn segment_softmax_batched(&mut self, edges: &Edges, logits: Var) -> Var {
         let lv = self.value(logits);
         assert_eq!(lv.rank(), 2, "batched segment softmax expects (P, E)");

@@ -152,78 +152,6 @@ impl ParamStore {
             s.value = t.clone();
         }
     }
-
-    /// Serialise all parameters to a simple self-describing binary format
-    /// (name, shape, f32 data per entry). Checkpointing for trained models.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        use std::io::Write;
-        let mut buf: Vec<u8> = Vec::new();
-        buf.extend_from_slice(b"RTGP\x01");
-        buf.extend_from_slice(&(self.slots.len() as u32).to_le_bytes());
-        for s in &self.slots {
-            let name = s.name.as_bytes();
-            buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            buf.extend_from_slice(name);
-            let dims = s.value.dims();
-            buf.extend_from_slice(&(dims.len() as u32).to_le_bytes());
-            for &d in dims {
-                buf.extend_from_slice(&(d as u64).to_le_bytes());
-            }
-            for &v in s.value.data() {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&buf)
-    }
-
-    /// Load a checkpoint produced by [`ParamStore::save`] into an existing
-    /// store. Every parameter must exist with a matching shape (build the
-    /// model with the same config first).
-    pub fn load(&mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let bytes = std::fs::read(path)?;
-        let err = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> std::io::Result<&[u8]> {
-            if *pos + n > bytes.len() {
-                return Err(err("truncated checkpoint"));
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 5)? != b"RTGP\x01" {
-            return Err(err("not an RTGP v1 checkpoint"));
-        }
-        let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        if count != self.slots.len() {
-            return Err(err("parameter count mismatch"));
-        }
-        for _ in 0..count {
-            let nlen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-            let name = String::from_utf8(take(&mut pos, nlen)?.to_vec())
-                .map_err(|_| err("invalid parameter name"))?;
-            let rank = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                dims.push(u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize);
-            }
-            let numel: usize = dims.iter().product();
-            let raw = take(&mut pos, numel * 4)?;
-            let data: Vec<f32> =
-                raw.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
-            let id = self
-                .id(&name)
-                .ok_or_else(|| err(&format!("unknown parameter {name:?} in checkpoint")))?;
-            let expected = self.value(id).shape().clone();
-            let tensor = Tensor::new(dims, data);
-            if tensor.shape() != &expected {
-                return Err(err(&format!("shape mismatch for {name:?}")));
-            }
-            *self.value_mut(id) = tensor;
-        }
-        Ok(())
-    }
 }
 
 /// Finite-difference check of every parameter in a [`ParamStore`] against the
@@ -341,53 +269,6 @@ mod tests {
         assert_eq!(store.id("nope"), None);
         assert_eq!(store.num_scalars(), 10);
         assert_eq!(store.name(a), "layer.a");
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let dir = std::env::temp_dir().join("rtgcn_param_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.rtgp");
-        let mut a = ParamStore::new();
-        a.add("layer.w", Tensor::new([2, 2], vec![1.5, -2.5, 0.25, 9.0]));
-        a.add("layer.b", Tensor::from_vec(vec![0.5]));
-        a.save(&path).unwrap();
-        let mut b = ParamStore::new();
-        let w = b.add("layer.w", Tensor::zeros([2, 2]));
-        let bias = b.add("layer.b", Tensor::zeros([1]));
-        b.load(&path).unwrap();
-        assert_eq!(b.value(w).data(), &[1.5, -2.5, 0.25, 9.0]);
-        assert_eq!(b.value(bias).data(), &[0.5]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_rejects_shape_mismatch() {
-        let dir = std::env::temp_dir().join("rtgcn_param_test2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.rtgp");
-        let mut a = ParamStore::new();
-        a.add("w", Tensor::zeros([3]));
-        a.save(&path).unwrap();
-        let mut b = ParamStore::new();
-        b.add("w", Tensor::zeros([4]));
-        assert!(b.load(&path).is_err());
-        let mut c = ParamStore::new();
-        c.add("other", Tensor::zeros([3]));
-        assert!(c.load(&path).is_err(), "unknown name must be rejected");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("rtgcn_param_test3");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("junk.bin");
-        std::fs::write(&path, b"not a checkpoint").unwrap();
-        let mut s = ParamStore::new();
-        s.add("w", Tensor::zeros([1]));
-        assert!(s.load(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

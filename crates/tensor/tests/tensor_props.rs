@@ -15,7 +15,7 @@ proptest! {
 
     /// A(B + C) == AB + AC (within f32 tolerance).
     #[test]
-    fn matmul_distributes((m, k, n) in (1usize..6, 1usize..6, 1usize..6).prop_flat_map(|d| Just(d))) {
+    fn matmul_distributes((m, k, n) in (1usize..6, 1usize..6, 1usize..6).prop_flat_map(Just)) {
         let runner = |seed: u64, r: usize, c: usize| {
             let mut rng = rtgcn_tensor::init::rng(seed);
             rtgcn_tensor::init::uniform([r, c], -2.0, 2.0, &mut rng)

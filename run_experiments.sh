@@ -8,7 +8,8 @@
 #                     JSONL (default results/logs; forwarded to every
 #                     harness binary)
 #   --lint            static-analysis gate only (skips the full queue):
-#                     build the workspace, run clippy -D warnings, then
+#                     build the workspace, run clippy -D warnings on
+#                     every target (tests and examples too), then
 #                     rtgcn-lint --deny --json results/LINT.json; exits 3
 #                     on any lint finding
 #   --bench-snapshot  after the queue, fold the table4 run logs into
@@ -161,7 +162,7 @@ if [ "$LINT" = 1 ]; then
   # sequence the full queue runs before its harnesses. `set -e` propagates
   # rtgcn-lint's exit 3 on findings.
   cargo build --release --workspace
-  cargo clippy --workspace -- -D warnings
+  cargo clippy --workspace --all-targets -- -D warnings
   $B/rtgcn-lint --deny --json results/LINT.json
   echo LINT_OK
   exit 0
@@ -292,7 +293,7 @@ cargo build --release --workspace
 # path-vendored, so neither gate touches the network. rtgcn-lint exits 3
 # on any finding; results/LINT.json is the committed findings/allows
 # inventory.
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 $B/rtgcn-lint --deny --json results/LINT.json
 # Test gate: every crate's suite, not just the root package's — stream
 # parity, checkpoint round trips, golden HTTP and hot-swap guard each

@@ -4,12 +4,12 @@
 
 use proptest::prelude::*;
 use rtgcn::core::layers::{RelationalConv, TemporalConvBlock};
-use rtgcn::core::{RtGcn, RtGcnConfig, Strategy as RtStrategy, StrategyCtx};
+use rtgcn::core::{Strategy as RtStrategy, StrategyCtx};
 use rtgcn::eval::{cumulative_irr, daily_topk_return, rank_of, reciprocal_rank, top_k_indices};
 use rtgcn::eval::{signed_rank_from_diffs, Alternative};
-use rtgcn::graph::{renormalize_uniform, RelationTensor};
+use rtgcn::graph::{renormalize_uniform, RelationTensor, DEGREE_EPS};
 use rtgcn::telemetry as tel;
-use rtgcn::tensor::{check_param_gradients, init, ConvSpec, ParamStore, Shape, Tape, Tensor};
+use rtgcn::tensor::{check_param_gradients, init, ConvSpec, ParamStore, Shape, Tape, Tensor, Var};
 
 fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-100.0f32..100.0, len)
@@ -210,7 +210,95 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Finite-difference gradient checks for the fused kernels (shared harness:
+// Per-plane reference for the relational layer: Eq. 2 applied one time step
+// at a time with the Eq. 3–5 adjacency renormalised on the tape. Built only
+// from edge-list tape ops and the public `RelationalConv`/`StrategyCtx`
+// fields, so it shares no code with the batched kernels (`spmm_batched`,
+// `edge_dot_batched`, the CSR layout, the cached and frozen adjacencies)
+// that `RelationalConv::forward` runs.
+// ---------------------------------------------------------------------------
+
+/// Strategy adjacency of one plane `x_t: (N, D)`, aligned with `ctx.edges`:
+/// raw relation weights (Eq. 3: 1; Eq. 4: `𝒜ᵀw + b`; Eq. 5: that times
+/// `x_iᵀx_j / √D`), unit self-loops, then `D̃^{-1/2}(A + I)D̃^{-1/2}` with the
+/// abs-degree clamp. At inference the Weighted adjacency is frozen: `w` and
+/// `b` enter as constants, so no gradient reaches them.
+fn reference_adjacency(
+    tape: &mut Tape,
+    store: &ParamStore,
+    conv: &RelationalConv,
+    ctx: &StrategyCtx,
+    x_t: Var,
+    training: bool,
+) -> Var {
+    let n = ctx.n_nodes();
+    let raw_rel = if conv.strategy == RtStrategy::Uniform {
+        tape.constant(Tensor::ones([ctx.n_rel_edges]))
+    } else {
+        let (w, b) = if conv.strategy == RtStrategy::Weighted && !training {
+            let w = tape.constant(store.value(conv.w_rel).clone());
+            (w, tape.constant(store.value(conv.b_rel).clone()))
+        } else {
+            (store.bind(tape, conv.w_rel), store.bind(tape, conv.b_rel))
+        };
+        let hot = tape.constant(ctx.multi_hot.clone());
+        let imp = tape.linear(hot, w, b);
+        let imp = tape.reshape(imp, [ctx.n_rel_edges]);
+        if conv.strategy == RtStrategy::TimeSensitive {
+            let d = tape.value(x_t).dims()[1];
+            let corr = tape.edge_dot(&ctx.rel_edges, x_t, (d as f32).sqrt());
+            tape.mul(corr, imp)
+        } else {
+            imp
+        }
+    };
+    let loops = tape.constant(Tensor::ones([n]));
+    let raw = tape.concat0(&[raw_rel, loops]);
+    let abs_w = tape.abs(raw);
+    let ones_col = tape.constant(Tensor::ones([n, 1]));
+    let deg = tape.spmm(&ctx.edges, abs_w, ones_col);
+    let deg = tape.reshape(deg, [n]);
+    let deg = tape.clamp_min(deg, DEGREE_EPS);
+    let sqrt_deg = tape.sqrt(deg);
+    let one = tape.constant(Tensor::scalar(1.0));
+    let dinv = tape.div(one, sqrt_deg);
+    let d_src = tape.gather_src(&ctx.edges, dinv);
+    let d_dst = tape.gather_dst(&ctx.edges, dinv);
+    let scaled = tape.mul(raw, d_src);
+    tape.mul(scaled, d_dst)
+}
+
+/// Eq. 2 plane by plane, `Z_t = ReLU(X_t Θ_self + Â(t) X_t Θ_nbr)`, over a
+/// `(T, N, D)` window; the planes are stacked back to `(T, N, F)`.
+fn reference_forward(
+    tape: &mut Tape,
+    store: &ParamStore,
+    conv: &RelationalConv,
+    ctx: &StrategyCtx,
+    x3: Var,
+    training: bool,
+) -> Var {
+    let dims = tape.value(x3).dims().to_vec();
+    let (t, n, d) = (dims[0], dims[1], dims[2]);
+    let theta_self = store.bind(tape, conv.theta_self);
+    let theta = store.bind(tape, conv.theta);
+    let planes: Vec<Var> = (0..t)
+        .map(|p| {
+            let x_t = tape.slice_rows(x3, p, p + 1);
+            let x_t = tape.reshape(x_t, [n, d]);
+            let adj = reference_adjacency(tape, store, conv, ctx, x_t, training);
+            let own = tape.matmul(x_t, theta_self);
+            let agg = tape.spmm(&ctx.edges, adj, x_t);
+            let nbr = tape.matmul(agg, theta);
+            let z = tape.add(own, nbr);
+            tape.relu(z)
+        })
+        .collect();
+    tape.stack0(&planes)
+}
+
+// ---------------------------------------------------------------------------
+// Finite-difference gradient checks (shared harness:
 // rtgcn::tensor::check_param_gradients, central differences, relative
 // tolerance 1e-4).
 // ---------------------------------------------------------------------------
@@ -223,12 +311,11 @@ fn grad_check_relations() -> RelationTensor {
     r
 }
 
-/// The fused relational convolution (batched spmm + time-batched matmuls)
-/// must match central differences for every parameter, under each of the
-/// three adjacency strategies — this exercises spmm_batched,
-/// edge_dot_batched, concat_cols and the batched renormalisation end to end.
-#[test]
-fn fused_relational_conv_gradient_check_all_strategies() {
+/// FD check of every parameter of one relational-layer formulation under
+/// each of the three adjacency strategies.
+fn relational_gradient_check(
+    forward: impl Fn(&mut Tape, &ParamStore, &RelationalConv, &StrategyCtx, Var) -> Var,
+) {
     let rel = grad_check_relations();
     let ctx = StrategyCtx::new(&rel);
     let mut rng = init::rng(41);
@@ -239,7 +326,7 @@ fn fused_relational_conv_gradient_check_all_strategies() {
         let conv = RelationalConv::new(&mut store, "rc", 2, 4, 2, strategy, &mut prng);
         check_param_gradients(&mut store, 1e-2, 1e-4, 16, |tape, store| {
             let x3 = tape.constant(x.clone());
-            let out = conv.forward_fused(tape, store, &ctx, x3, true);
+            let out = forward(tape, store, &conv, &ctx, x3);
             let sq = tape.square(out);
             let s = tape.sum_all(sq);
             tape.scale(s, 0.1)
@@ -248,33 +335,23 @@ fn fused_relational_conv_gradient_check_all_strategies() {
     }
 }
 
-/// Same check through the serial reference path — both implementations must
-/// be *correct*, not merely mutually consistent.
+/// The batched relational convolution (spmm_batched, edge_dot_batched,
+/// concat_cols and the batched renormalisation end to end) matches central
+/// differences for every parameter.
+#[test]
+fn fused_relational_conv_gradient_check_all_strategies() {
+    relational_gradient_check(|tape, store, conv, ctx, x3| {
+        conv.forward(tape, store, ctx, x3, true)
+    });
+}
+
+/// Same check through the per-plane reference: both formulations must be
+/// *correct*, not merely mutually consistent.
 #[test]
 fn serial_relational_conv_gradient_check_all_strategies() {
-    let rel = grad_check_relations();
-    let ctx = StrategyCtx::new(&rel);
-    let mut rng = init::rng(41);
-    let x = init::normal([3, 4, 2], 0.6, &mut rng);
-    for strategy in RtStrategy::ALL {
-        let mut store = ParamStore::new();
-        let mut prng = init::rng(17);
-        let conv = RelationalConv::new(&mut store, "rc", 2, 4, 2, strategy, &mut prng);
-        check_param_gradients(&mut store, 1e-2, 1e-4, 16, |tape, store| {
-            let xs: Vec<_> = (0..3)
-                .map(|p| {
-                    let plane: Vec<f32> = x.data()[p * 8..(p + 1) * 8].to_vec();
-                    tape.constant(Tensor::new([4, 2], plane))
-                })
-                .collect();
-            let outs = conv.forward(tape, store, &ctx, &xs);
-            let stacked = tape.stack0(&outs);
-            let sq = tape.square(stacked);
-            let s = tape.sum_all(sq);
-            tape.scale(s, 0.1)
-        })
-        .unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
-    }
+    relational_gradient_check(|tape, store, conv, ctx, x3| {
+        reference_forward(tape, store, conv, ctx, x3, true)
+    });
 }
 
 /// TCN residual block (weight-norm conv → ReLU → residual/1×1 skip): FD
@@ -317,80 +394,92 @@ fn combined_rank_loss_gradient_check() {
 }
 
 // ---------------------------------------------------------------------------
-// Fused vs serial parity: identical scores and parameter gradients across
-// random shapes, strategies and graphs (ISSUE satellite 2).
+// Batched vs per-plane parity of the relational layer. Everything after it
+// in RT-GCN is one code path, so this is the only place the two
+// formulations can differ.
 // ---------------------------------------------------------------------------
 
-/// Forward scores + absorbed parameter gradients of one combined-loss step.
-fn scores_and_grads(model: &mut RtGcn, x: &Tensor, y: &Tensor) -> (Vec<f32>, Vec<(String, Vec<f32>)>) {
+/// Output, input gradient and every parameter gradient of one formulation
+/// under the linear loss `Σ R ⊙ Z`, labelled for the error message.
+fn layer_outputs_and_grads(
+    store: &mut ParamStore,
+    x: &Tensor,
+    r: &Tensor,
+    forward: impl FnOnce(&mut Tape, &ParamStore, Var) -> Var,
+) -> Vec<(String, Vec<f32>)> {
     let mut tape = Tape::new();
-    let s = model.forward(&mut tape, x, true);
-    let scores = tape.value(s).data().to_vec();
-    let loss = tape.combined_rank_loss(s, y, 0.1);
+    let x3 = tape.leaf(x.clone());
+    let z = forward(&mut tape, store, x3);
+    let rv = tape.constant(r.clone());
+    let weighted = tape.mul(z, rv);
+    let loss = tape.sum_all(weighted);
     tape.backward(loss);
-    model.store.absorb_grads(&tape);
-    let grads = model
-        .store
-        .ids()
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|id| (model.store.name(id).to_string(), model.store.grad(id).data().to_vec()))
-        .collect();
-    model.store.clear_bindings();
-    (scores, grads)
+    store.zero_grads();
+    store.absorb_grads(&tape);
+    let mut out = vec![
+        ("output".to_string(), tape.value(z).data().to_vec()),
+        ("input grad".to_string(), tape.grad(x3).unwrap().data().to_vec()),
+    ];
+    out.extend(store.ids().map(|id| (store.name(id).to_string(), store.grad(id).data().to_vec())));
+    out
 }
 
-fn assert_parity(rel: &RelationTensor, strategy: RtStrategy, t: usize, d: usize, seed: u64) {
+/// `RelationalConv::forward` against [`reference_forward`] on a random
+/// `(T, N, D)` window with `F` filters, in training and in inference mode:
+/// outputs and all gradients agree to 1e-6 relative.
+fn assert_layer_parity(
+    rel: &RelationTensor,
+    strategy: RtStrategy,
+    t: usize,
+    d: usize,
+    f: usize,
+    seed: u64,
+) {
     let n = rel.num_stocks();
-    let mut cfg = RtGcnConfig::with_strategy(strategy);
-    cfg.t_steps = t;
-    cfg.n_features = d;
-    cfg.rel_filters = 5;
-    cfg.temporal_filters = 4;
-    cfg.dropout = 0.0;
-    cfg.fused = true;
-    let mut serial_cfg = cfg.clone();
-    serial_cfg.fused = false;
-    let mut fused = RtGcn::new(cfg, rel, seed);
-    let mut serial = RtGcn::new(serial_cfg, rel, seed);
+    let ctx = StrategyCtx::new(rel);
     let mut rng = init::rng(seed ^ 0x9e37);
     let x = init::normal([t, n, d], 0.5, &mut rng);
-    let y = init::normal([n], 0.05, &mut rng);
-    let (sf, gf) = scores_and_grads(&mut fused, &x, &y);
-    let (ss, gs) = scores_and_grads(&mut serial, &x, &y);
-    for (a, b) in sf.iter().zip(&ss) {
-        assert!(
-            (a - b).abs() <= 1e-6 * b.abs().max(1.0),
-            "{strategy:?} t={t} n={n} d={d}: score fused {a} vs serial {b}"
-        );
-    }
-    assert_eq!(gf.len(), gs.len(), "same parameter set");
-    for ((name_f, ga), (name_s, gb)) in gf.iter().zip(&gs) {
-        assert_eq!(name_f, name_s);
-        for (a, b) in ga.iter().zip(gb) {
-            assert!(
-                (a - b).abs() <= 1e-6 * b.abs().max(1.0),
-                "{strategy:?} t={t} n={n} d={d}: grad {name_f} fused {a} vs serial {b}"
-            );
+    let r = init::normal([t, n, f], 1.0, &mut rng);
+    for training in [true, false] {
+        let mut store = ParamStore::new();
+        let mut prng = init::rng(seed);
+        let conv = RelationalConv::new(&mut store, "rc", d, f, ctx.k_types, strategy, &mut prng);
+        let batched = layer_outputs_and_grads(&mut store, &x, &r, |tape, store, x3| {
+            conv.forward(tape, store, &ctx, x3, training)
+        });
+        let serial = layer_outputs_and_grads(&mut store, &x, &r, |tape, store, x3| {
+            reference_forward(tape, store, &conv, &ctx, x3, training)
+        });
+        for ((what, a), (_, b)) in batched.iter().zip(&serial) {
+            assert_eq!(a.len(), b.len(), "{what}");
+            for (i, (a, b)) in a.iter().zip(b).enumerate() {
+                assert!(
+                    (a - b).abs() <= 1e-6 * b.abs().max(1.0),
+                    "{strategy:?} training={training} t={t} n={n} d={d} f={f}: \
+                     {what}[{i}] batched {a} vs per-plane {b}"
+                );
+            }
         }
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Fused and serial paths agree to 1e-6 on scores and every parameter
-    /// gradient across random window lengths, universe sizes, feature
-    /// counts, relation types, strategies and random (possibly empty —
-    /// i.e. self-loops-only) graphs.
+    /// The batched relational layer and the per-plane reference agree to
+    /// 1e-6 on outputs, the input gradient and every parameter gradient,
+    /// in training and inference, across random window lengths, universe
+    /// sizes, feature and filter counts, relation types, strategies and
+    /// random (possibly empty, i.e. self-loops-only) graphs.
     #[test]
     fn fused_serial_parity_random_shapes(
-        t in 2usize..6,
-        n in 3usize..7,
+        t in 1usize..6,
+        n in 2usize..8,
         d in 1usize..5,
-        k in 1usize..3,
+        f in 1usize..6,
+        k in 1usize..4,
         strat_i in 0usize..3,
-        edges in proptest::collection::vec((0usize..7, 0usize..7, 0usize..3), 0..14),
+        edges in proptest::collection::vec((0usize..8, 0usize..8, 0usize..4), 0..16),
         seed in 0u64..1000,
     ) {
         let mut rel = RelationTensor::new(n, k);
@@ -400,7 +489,7 @@ proptest! {
                 rel.connect(i, j, ty);
             }
         }
-        assert_parity(&rel, RtStrategy::ALL[strat_i], t, d, seed);
+        assert_layer_parity(&rel, RtStrategy::ALL[strat_i], t, d, f, seed);
     }
 }
 
@@ -412,11 +501,11 @@ fn fused_serial_parity_degenerate_graphs() {
     for strategy in RtStrategy::ALL {
         // No edges: adjacency degenerates to pure self-loops.
         let empty = RelationTensor::new(5, 1);
-        assert_parity(&empty, strategy, 4, 2, 3);
+        assert_layer_parity(&empty, strategy, 4, 2, 3, 3);
         // Disconnected: nodes 2..=5 isolated, one related pair at 0–1.
         let mut disc = RelationTensor::new(6, 2);
         disc.connect(0, 1, 1);
-        assert_parity(&disc, strategy, 3, 3, 5);
+        assert_layer_parity(&disc, strategy, 3, 3, 4, 5);
     }
 }
 
