@@ -14,8 +14,8 @@
 //! failure names a kernel, not just a number):
 //!
 //! ```text
-//! rtgcn-report --baseline results/BENCH.baseline.json [NEW_JSON] \
-//!     [--threshold 20] [--verify-perf] [--top 5]
+//! rtgcn-report --baseline results/BENCH.baseline.json NEW_JSON \
+//!     [--threshold 1.2] [--top 5]
 //! ```
 
 use rtgcn_bench::snapshot::{
@@ -25,11 +25,7 @@ use rtgcn_bench::snapshot::{
 use std::path::PathBuf;
 use std::process::exit;
 
-const USAGE: &str = "usage:\n  rtgcn-report --logs DIR --harness NAME [--out FILE] [--md FILE] [--profile-md FILE] [--top N]\n  rtgcn-report --baseline BASE_JSON [NEW_JSON] [--threshold PCT|RATIO] [--verify-perf] [--top N]\n\n--threshold accepts either a percentage (values > 3, e.g. 20 = +20%) or a\nratio multiplier (values in (1, 3], e.g. 1.25 = +25%).\n--verify-perf defaults NEW_JSON to results/BENCH_table4.verify.json and the\nthreshold to 1.25, matching the run_experiments.sh verify stage.";
-
-/// NEW_JSON default under `--verify-perf`: where the verify stage of
-/// `run_experiments.sh` writes its freshly-measured snapshot.
-const VERIFY_SNAPSHOT: &str = "results/BENCH_table4.verify.json";
+const USAGE: &str = "usage:\n  rtgcn-report --logs DIR --harness NAME [--out FILE] [--md FILE] [--profile-md FILE] [--top N]\n  rtgcn-report --baseline BASE_JSON NEW_JSON [--threshold RATIO] [--top N]\n\n--threshold is a ratio > 1.0 (default 1.2; 1.25 = +25%).";
 
 fn fail(msg: &str) -> ! {
     eprintln!("error[rtgcn-report]: {msg}");
@@ -50,9 +46,8 @@ fn main() {
     let mut out: Option<String> = None;
     let mut md: Option<String> = None;
     let mut profile_md: Option<String> = None;
-    let mut baseline: Option<(String, Option<String>)> = None;
-    let mut threshold: Option<f64> = None;
-    let mut verify_perf = false;
+    let mut baseline: Option<(String, String)> = None;
+    let mut threshold: f64 = 1.2;
     let mut top: Option<usize> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -68,7 +63,6 @@ fn main() {
             "--out" => out = Some(value(&args, &mut i, "--out")),
             "--md" => md = Some(value(&args, &mut i, "--md")),
             "--profile-md" => profile_md = Some(value(&args, &mut i, "--profile-md")),
-            "--verify-perf" => verify_perf = true,
             "--top" => {
                 top = Some(
                     value(&args, &mut i, "--top")
@@ -77,32 +71,19 @@ fn main() {
                 );
             }
             "--baseline" => {
-                let base = value(&args, &mut i, "--baseline");
-                // NEW_JSON is optional: absent when the next token is a flag
-                // (or the end), in which case --verify-perf supplies it.
-                let new = match args.get(i + 1) {
-                    Some(next) if !next.starts_with("--") => {
-                        i += 1;
-                        Some(next.clone())
-                    }
-                    _ => None,
+                let (Some(base), Some(new)) = (args.get(i + 1), args.get(i + 2)) else {
+                    fail("--baseline requires BASE_JSON and NEW_JSON");
                 };
-                baseline = Some((base, new));
+                baseline = Some((base.clone(), new.clone()));
+                i += 2;
             }
             "--threshold" => {
-                let raw: f64 = value(&args, &mut i, "--threshold")
+                threshold = value(&args, &mut i, "--threshold")
                     .parse()
                     .unwrap_or_else(|e| fail(&format!("--threshold: {e}")));
-                // Small values are ratio multipliers (1.25 = +25%), larger
-                // ones plain percentages (20 = +20%).
-                threshold = Some(if raw <= 3.0 {
-                    if raw <= 1.0 {
-                        fail("--threshold ratio must be > 1.0 (e.g. 1.25 = +25%)");
-                    }
-                    (raw - 1.0) * 100.0
-                } else {
-                    raw
-                });
+                if !threshold.is_finite() || threshold <= 1.0 {
+                    fail("--threshold must be a ratio > 1.0 (e.g. 1.25 = +25%)");
+                }
             }
             other => fail(&format!("unknown flag {other:?}")),
         }
@@ -110,25 +91,17 @@ fn main() {
     }
 
     if let Some((base_path, new_path)) = baseline {
-        let new_path = new_path.unwrap_or_else(|| {
-            if verify_perf {
-                VERIFY_SNAPSHOT.to_string()
-            } else {
-                fail("--baseline needs NEW_JSON (or --verify-perf for the default)")
-            }
-        });
-        let threshold = threshold.unwrap_or(if verify_perf { 25.0 } else { 20.0 });
         let base = read_snapshot(&base_path);
         let new = read_snapshot(&new_path);
-        let regs = diff_snapshots(&base, &new, threshold);
+        let regs = diff_snapshots(&base, &new, (threshold - 1.0) * 100.0);
         if regs.is_empty() {
             println!(
-                "OK: no regression past {threshold}% across {} model(s)",
+                "OK: no regression past {threshold}x across {} model(s)",
                 new.models.len()
             );
             return;
         }
-        eprintln!("{} regression(s) past {threshold}% vs {base_path}:", regs.len());
+        eprintln!("{} regression(s) past {threshold}x vs {base_path}:", regs.len());
         for r in &regs {
             eprintln!(
                 "  {} {}: {:.3} -> {:.3} ({:+.1}%)",

@@ -17,8 +17,8 @@
 //! `run-<harness>-<model>.jsonl` sinks. Job results are re-sorted into
 //! (model, seed) order before aggregation, which makes the parallel path
 //! reproduce the serial path's `ModelRow`s bit-identically: the models
-//! themselves are deterministic given a seed (row-partitioned kernels sum
-//! in a fixed order; all RNGs are seeded per job).
+//! themselves are deterministic given a seed (kernels run on the job's own
+//! thread in a fixed summation order; all RNGs are seeded per job).
 //!
 //! A job that times out is *abandoned*, not cancelled: Rust threads cannot
 //! be killed, so the runner stops waiting, drops the eventual result, and

@@ -1265,21 +1265,6 @@ pub fn begin_model_run(log_dir: &Path, harness: &str, model: &str) {
     emit(&Event::meta("model", model));
 }
 
-/// Test-only seeded slowdown for the perf gate (`RTGCN_PERF_CANARY_NS`):
-/// a hot kernel (`Tape::spmm_csr`) sleeps this many nanoseconds per call,
-/// so `run_experiments.sh --verify-perf` can prove end to end that a real
-/// kernel regression both fails the threshold diff *and* is attributed to
-/// the right span path. 0 (the default, env unset/unparseable) disables it.
-pub fn perf_canary_ns() -> u64 {
-    static CANARY: OnceLock<u64> = OnceLock::new();
-    *CANARY.get_or_init(|| {
-        std::env::var("RTGCN_PERF_CANARY_NS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0)
-    })
-}
-
 #[cfg(test)]
 mod unit {
     use super::*;

@@ -4,7 +4,7 @@
 //! RT-GCN reproduction: every neural model in this workspace (RT-GCN itself,
 //! the LSTM/GRU/SFM recurrences, GAT and hypergraph attention, the RL
 //! baselines) runs on these kernels. No BLAS, no GPU — hot loops are
-//! cache-conscious and parallelised with crossbeam scoped threads.
+//! cache-conscious and run on the calling thread.
 //!
 //! ## Architecture
 //!
@@ -50,7 +50,6 @@ mod telemetry_hooks;
 pub mod tensor;
 
 pub use finite::{assert_all_finite, suppress, SuppressGuard};
-pub use linalg::{num_threads, set_num_threads};
 pub use ops::{ConvSpec, CsrEdges, Edges};
 pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
 pub use param::{check_param_gradients, ParamId, ParamStore};

@@ -2,82 +2,11 @@
 //!
 //! These are the hot loops of every model in the workspace, so they are
 //! written cache-consciously (i-k-j loop order so the innermost loop streams
-//! both the `b` row and the output row) and parallelised across output rows
-//! with crossbeam scoped threads once the work is large enough to amortise
-//! thread startup. Every product is accumulated, zeros included, so a
-//! non-finite entry in either operand reaches every output it touches
-//! (IEEE `0 × Inf = NaN`).
+//! both the `b` row and the output row). Every product is accumulated, zeros
+//! included, so a non-finite entry in either operand reaches every output it
+//! touches (IEEE `0 × Inf = NaN`).
 
 use crate::tensor::Tensor;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Work threshold (in fused multiply-adds) below which matmuls stay
-/// single-threaded.
-const PAR_THRESHOLD: usize = 1 << 18;
-
-/// Sentinel for "no programmatic override set" in [`THREAD_OVERRIDE`].
-const THREADS_UNSET: usize = usize::MAX;
-
-/// Programmatic thread-count override (see [`set_num_threads`]); takes
-/// precedence over the `RTGCN_THREADS` environment variable.
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(THREADS_UNSET);
-
-/// Force the kernel thread count from code; `Some(0)` and `Some(1)` both mean
-/// fully serial, `None` restores the `RTGCN_THREADS` / auto-detect default.
-/// Primarily for tests that must exercise both the serial and the threaded
-/// paths deterministically within one process.
-pub fn set_num_threads(n: Option<usize>) {
-    THREAD_OVERRIDE.store(n.unwrap_or(THREADS_UNSET), Ordering::SeqCst);
-}
-
-/// Worker-thread count for the dense and sparse kernels, resolved as:
-///
-/// 1. [`set_num_threads`] override, when set;
-/// 2. the `RTGCN_THREADS` environment variable (`0` = serial; read once,
-///    invalid values ignored);
-/// 3. `available_parallelism()` capped at 8 (the historical default; the cap
-///    avoids oversubscribing shared CI boxes, lift it explicitly via the env
-///    var on big machines).
-pub fn num_threads() -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if forced != THREADS_UNSET {
-        return forced.max(1);
-    }
-    static ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    let env = ENV.get_or_init(|| {
-        std::env::var("RTGCN_THREADS").ok().and_then(|v| v.trim().parse::<usize>().ok())
-    });
-    match env {
-        Some(n) => (*n).max(1),
-        None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8),
-    }
-}
-
-/// Parallelise `f(row_range)` over `rows` rows when `work` is large enough.
-/// Shared by the dense matmuls here and the fused sparse kernels in
-/// [`crate::ops::sparse`].
-pub(crate) fn par_rows(rows: usize, work: usize, out: &mut [f32], row_len: usize, f: impl Fn(usize, &mut [f32]) + Sync) {
-    let threads = num_threads();
-    if work < PAR_THRESHOLD || threads <= 1 || rows < 2 * threads {
-        for i in 0..rows {
-            f(i, &mut out[i * row_len..(i + 1) * row_len]);
-        }
-        return;
-    }
-    let chunk = rows.div_ceil(threads);
-    crossbeam::scope(|s| {
-        for (c, out_chunk) in out.chunks_mut(chunk * row_len).enumerate() {
-            let f = &f;
-            s.spawn(move |_| {
-                let base = c * chunk;
-                for (k, row) in out_chunk.chunks_mut(row_len).enumerate() {
-                    f(base + k, row);
-                }
-            });
-        }
-    })
-    .expect("matmul worker thread panicked");
-}
 
 /// `C = A · B` for row-major matrices `A: (m×k)`, `B: (k×n)`.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
@@ -87,16 +16,17 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul inner dims mismatch: {:?} x {:?}", a.shape(), b.shape());
     let mut out = Tensor::zeros([m, n]);
-    let (ad, bd) = (a.data(), b.data());
-    par_rows(m, m * n * k, out.data_mut(), n, |i, row| {
+    let (ad, bd, od) = (a.data(), b.data(), out.data_mut());
+    for i in 0..m {
         let arow = &ad[i * k..(i + 1) * k];
+        let row = &mut od[i * n..(i + 1) * n];
         for (p, &av) in arow.iter().enumerate() {
             let brow = &bd[p * n..(p + 1) * n];
             for (r, &bv) in row.iter_mut().zip(brow) {
                 *r += av * bv;
             }
         }
-    });
+    }
     out
 }
 
@@ -108,25 +38,24 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul_tn inner dims mismatch: {:?}ᵀ x {:?}", a.shape(), b.shape());
     let mut out = Tensor::zeros([m, n]);
-    let (ad, bd) = (a.data(), b.data());
-    // Serial k-loop per output row would stride badly through `a`; instead
-    // accumulate rank-1 updates per k. Parallelising over output rows keeps
-    // writes disjoint: out[i, :] += a[p, i] * b[p, :].
-    par_rows(m, m * n * k, out.data_mut(), n, |i, row| {
+    let (ad, bd, od) = (a.data(), b.data(), out.data_mut());
+    // out[i, :] = Σ_p a[p, i] · b[p, :], accumulated in `p` order; the
+    // column of `a` is read with stride `m`.
+    for i in 0..m {
+        let row = &mut od[i * n..(i + 1) * n];
         for p in 0..k {
-            // SAFETY: `i < m` (par_rows hands each closure a row index below
-            // the `m` passed as its first argument) and `p < k` by the loop
-            // bound, so `p * m + i <= (k-1)*m + (m-1) < k*m == ad.len()`
-            // (`ad` is the data of the `(k×m)` tensor validated above). The
-            // unchecked load drops a bounds check from the innermost
-            // column-strided access the optimiser cannot elide.
+            // SAFETY: `i < m` and `p < k` by the two loop bounds, so
+            // `p * m + i <= (k-1)*m + (m-1) < k*m == ad.len()` (`ad` is the
+            // data of the `(k×m)` tensor validated above). The unchecked
+            // load drops a bounds check from the innermost column-strided
+            // access the optimiser cannot elide.
             let av = unsafe { *ad.get_unchecked(p * m + i) };
             let brow = &bd[p * n..(p + 1) * n];
             for (r, &bv) in row.iter_mut().zip(brow) {
                 *r += av * bv;
             }
         }
-    });
+    }
     out
 }
 
@@ -138,9 +67,10 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (n, k2) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul_nt inner dims mismatch: {:?} x {:?}ᵀ", a.shape(), b.shape());
     let mut out = Tensor::zeros([m, n]);
-    let (ad, bd) = (a.data(), b.data());
-    par_rows(m, m * n * k, out.data_mut(), n, |i, row| {
+    let (ad, bd, od) = (a.data(), b.data(), out.data_mut());
+    for i in 0..m {
         let arow = &ad[i * k..(i + 1) * k];
+        let row = &mut od[i * n..(i + 1) * n];
         for (j, r) in row.iter_mut().enumerate() {
             let brow = &bd[j * k..(j + 1) * k];
             let mut acc = 0.0;
@@ -149,7 +79,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
             }
             *r = acc;
         }
-    });
+    }
     out
 }
 
@@ -233,17 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_large_parallel_path() {
-        // Big enough to exercise the threaded branch.
-        let m = 300;
-        let a = Tensor::ones([m, m]);
-        let b = Tensor::full([m, m], 2.0);
-        let c = matmul(&a, &b);
-        assert!((c.at(&[0, 0]) - 2.0 * m as f32).abs() < 1e-3);
-        assert!((c.at(&[m - 1, m - 1]) - 2.0 * m as f32).abs() < 1e-3);
-    }
-
-    #[test]
     fn matvec_and_dot() {
         let a = Tensor::new([2, 3], vec![1., 0., 2., 0., 1., 3.]);
         let x = Tensor::from_vec(vec![1., 2., 3.]);
@@ -265,47 +184,5 @@ mod tests {
     #[should_panic(expected = "inner dims mismatch")]
     fn matmul_dim_mismatch_panics() {
         let _ = matmul(&Tensor::zeros([2, 3]), &Tensor::zeros([4, 2]));
-    }
-
-    /// Serialises tests that mutate the process-global thread override.
-    fn override_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn thread_override_resolution() {
-        let _guard = override_lock();
-        // A programmatic override beats everything; 0 degrades to serial (1).
-        set_num_threads(Some(3));
-        assert_eq!(num_threads(), 3);
-        set_num_threads(Some(0));
-        assert_eq!(num_threads(), 1);
-        set_num_threads(None);
-        // Without an override the count comes from RTGCN_THREADS or the
-        // auto-detect fallback — either way it is at least 1.
-        assert!(num_threads() >= 1);
-    }
-
-    #[test]
-    fn serial_and_threaded_paths_agree() {
-        let _guard = override_lock();
-        // Large enough to clear PAR_THRESHOLD so the threaded branch runs.
-        let m = 96;
-        let mut seed = 9u64;
-        let mut next = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((seed >> 33) as f32 / (1u64 << 31) as f32) - 1.0
-        };
-        let a = Tensor::new([m, m], (0..m * m).map(|_| next()).collect());
-        let b = Tensor::new([m, m], (0..m * m).map(|_| next()).collect());
-        set_num_threads(Some(1));
-        let serial = matmul(&a, &b);
-        set_num_threads(Some(4));
-        let threaded = matmul(&a, &b);
-        set_num_threads(None);
-        // Row partitioning does not change per-row accumulation order, so the
-        // two paths must agree bit-for-bit.
-        assert_eq!(serial.data(), threaded.data());
     }
 }

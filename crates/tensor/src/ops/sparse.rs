@@ -115,9 +115,7 @@ impl CsrEdges {
 
 /// Forward kernel shared by [`Tape::spmm_csr`] and [`Tape::spmm_batched`]:
 /// `out[p, d] += w[p?, e] · x[p, s]` with the weight plane shared when
-/// `plane_stride == 0`. Parallel over `planes × destination` rows; each
-/// output row is owned by exactly one iteration, so rows can be split across
-/// threads without synchronisation.
+/// `plane_stride == 0`.
 fn spmm_csr_forward(
     csr: &CsrEdges,
     wd: &[f32],
@@ -128,9 +126,9 @@ fn spmm_csr_forward(
     out: &mut [f32],
 ) {
     let n = csr.n();
-    let work = planes * csr.len() * f;
-    crate::linalg::par_rows(planes * n, work, out, f, |r, row| {
+    for r in 0..planes * n {
         let (p, d) = (r / n, r % n);
+        let row = &mut out[r * f..(r + 1) * f];
         let woff = p * plane_stride;
         for &e in csr.in_edges(d) {
             let w = wd[woff + e];
@@ -143,14 +141,13 @@ fn spmm_csr_forward(
                 *o += w * v;
             }
         }
-    });
+    }
 }
 
 /// Backward kernel for the CSR propagation: weight gradients
 /// `gw[p?, e] = Σ ⟨g[p, d], x[p, s]⟩` (summed over planes when the weight is
 /// shared) and feature gradients `gx[p, s] = Σ_{e ∈ out(s)} w[p?, e] · g[p, d]`
-/// via the source-grouped layout. Both loops are parallel over disjoint
-/// output rows.
+/// via the source-grouped layout.
 fn spmm_csr_backward(
     csr: &CsrEdges,
     wd: &[f32],
@@ -163,12 +160,10 @@ fn spmm_csr_backward(
     let n = csr.n();
     let e_count = csr.len();
     let pairs = &csr.edges.pairs;
-    let work = planes * e_count * f;
     let mut gw = vec![0.0f32; wd.len()];
     if plane_stride == 0 {
-        // Shared weights: one row per edge, planes accumulated inside.
-        crate::linalg::par_rows(e_count, work, &mut gw, 1, |e, out| {
-            let [s, d] = pairs[e];
+        // Shared weights: one entry per edge, planes accumulated inside.
+        for (g, &[s, d]) in gw.iter_mut().zip(pairs.iter()) {
             let mut acc = 0.0f32;
             for p in 0..planes {
                 let gdst = &gd[(p * n + d) * f..(p * n + d + 1) * f];
@@ -177,10 +172,10 @@ fn spmm_csr_backward(
                     acc += gv * xv;
                 }
             }
-            out[0] = acc;
-        });
+            *g = acc;
+        }
     } else {
-        crate::linalg::par_rows(planes * e_count, work, &mut gw, 1, |r, out| {
+        for (r, g) in gw.iter_mut().enumerate() {
             let (p, e) = (r / e_count, r % e_count);
             let [s, d] = pairs[e];
             let gdst = &gd[(p * n + d) * f..(p * n + d + 1) * f];
@@ -189,12 +184,13 @@ fn spmm_csr_backward(
             for (&gv, &xv) in gdst.iter().zip(src) {
                 acc += gv * xv;
             }
-            out[0] = acc;
-        });
+            *g = acc;
+        }
     }
     let mut gx = vec![0.0f32; xd.len()];
-    crate::linalg::par_rows(planes * n, work, &mut gx, f, |r, row| {
+    for r in 0..planes * n {
         let (p, s) = (r / n, r % n);
+        let row = &mut gx[r * f..(r + 1) * f];
         let woff = p * plane_stride;
         for &e in csr.out_edges(s) {
             let w = wd[woff + e];
@@ -207,7 +203,7 @@ fn spmm_csr_backward(
                 *o += w * gv;
             }
         }
-    });
+    }
     (gw, gx)
 }
 
@@ -381,20 +377,14 @@ impl Tape {
 
     /// [`Tape::spmm`] on a pre-grouped [`CsrEdges`]: same contract
     /// (`weights: (E)`, `x: (N, F)` → `(N, F)`), same math, but the forward
-    /// gather and both gradient scatters walk the CSR rows, which are
-    /// disjoint per output element and therefore thread-parallel. The stable
-    /// grouping keeps every per-element accumulation order identical to the
-    /// edge-list loop, so results are bit-equal to [`Tape::spmm`].
+    /// gather and both gradient scatters walk the CSR rows instead of the
+    /// edge list. The stable grouping keeps every per-element accumulation
+    /// order identical to the edge-list loop, so results are bit-equal to
+    /// [`Tape::spmm`].
     pub fn spmm_csr(&mut self, csr: &CsrEdges, weights: Var, x: Var) -> Var {
         static CALLS: std::sync::OnceLock<rtgcn_telemetry::Counter> = std::sync::OnceLock::new();
         crate::telemetry_hooks::kernel_counter(&CALLS, "tensor.spmm_csr.calls").inc(1);
         let _t = rtgcn_telemetry::span("spmm_csr");
-        // Seeded slowdown for the perf gate: proves a kernel regression is
-        // both caught by the threshold diff and attributed to this span.
-        let canary = rtgcn_telemetry::perf_canary_ns();
-        if canary > 0 {
-            std::thread::sleep(std::time::Duration::from_nanos(canary));
-        }
         let wv = self.value(weights);
         let xv = self.value(x);
         assert_eq!(wv.numel(), csr.len(), "one weight per edge required");
@@ -480,21 +470,23 @@ impl Tape {
             let xd = xv.data();
             let od = out.data_mut();
             let pairs = &edges.pairs;
-            crate::linalg::par_rows(p, p * e_count * f, od, e_count, |pi, row| {
+            for pi in 0..p {
                 let plane = &xd[pi * n * f..(pi + 1) * n * f];
+                let row = &mut od[pi * e_count..(pi + 1) * e_count];
                 for (e, &[s, d]) in pairs.iter().enumerate() {
                     let a = &plane[s * f..(s + 1) * f];
                     let b = &plane[d * f..(d + 1) * f];
                     row[e] = a.iter().zip(b).map(|(&u, &v)| u * v).sum::<f32>() * inv;
                 }
-            });
+            }
         }
         let pairs = Arc::clone(&edges.pairs);
         self.push_op_named("edge_dot_batched", out, vec![x], move |ctx| {
             let (xd, gd) = (ctx.parents[0].data(), ctx.grad.data());
             let mut gx = vec![0.0f32; xd.len()];
-            crate::linalg::par_rows(p, p * e_count * f, &mut gx, n * f, |pi, grow| {
+            for pi in 0..p {
                 let plane = &xd[pi * n * f..(pi + 1) * n * f];
+                let grow = &mut gx[pi * n * f..(pi + 1) * n * f];
                 let g = &gd[pi * e_count..(pi + 1) * e_count];
                 for (e, &[s, d]) in pairs.iter().enumerate() {
                     let ge = g[e] * inv;
@@ -506,7 +498,7 @@ impl Tape {
                         grow[d * f + j] += ge * plane[s * f + j];
                     }
                 }
-            });
+            }
             vec![Tensor::new(ctx.parents[0].shape().clone(), gx)]
         })
     }
@@ -564,8 +556,9 @@ impl Tape {
             let ld = lv.data();
             let od = out.data_mut();
             let pairs = &edges.pairs;
-            crate::linalg::par_rows(p, p * e_count * 4, od, e_count, |pi, row| {
+            for pi in 0..p {
                 let l = &ld[pi * e_count..(pi + 1) * e_count];
+                let row = &mut od[pi * e_count..(pi + 1) * e_count];
                 let mut max = vec![f32::NEG_INFINITY; n];
                 for (e, &[_, d]) in pairs.iter().enumerate() {
                     max[d] = max[d].max(l[e]);
@@ -579,15 +572,16 @@ impl Tape {
                 for (e, &[_, d]) in pairs.iter().enumerate() {
                     row[e] /= z[d].max(1e-12);
                 }
-            });
+            }
         }
         let pairs = Arc::clone(&edges.pairs);
         self.push_op_named("segment_softmax_batched", out, vec![logits], move |ctx| {
             let (yd, gd) = (ctx.output.data(), ctx.grad.data());
             let mut gx = vec![0.0f32; yd.len()];
-            crate::linalg::par_rows(p, p * e_count * 4, &mut gx, e_count, |pi, grow| {
+            for pi in 0..p {
                 let y = &yd[pi * e_count..(pi + 1) * e_count];
                 let g = &gd[pi * e_count..(pi + 1) * e_count];
+                let grow = &mut gx[pi * e_count..(pi + 1) * e_count];
                 let mut dot = vec![0.0f32; n];
                 for (e, &[_, d]) in pairs.iter().enumerate() {
                     dot[d] += g[e] * y[e];
@@ -595,7 +589,7 @@ impl Tape {
                 for (e, &[_, d]) in pairs.iter().enumerate() {
                     grow[e] = y[e] * (g[e] - dot[d]);
                 }
-            });
+            }
             vec![Tensor::new(ctx.parents[0].shape().clone(), gx)]
         })
     }
@@ -932,8 +926,20 @@ mod tests {
         assert!(tape.value(y).data().iter().all(|&v| v == 0.0));
         let c = tape.edge_dot_batched(&edges, x, 2.0);
         assert_eq!(tape.value(c).dims(), &[2, 0]);
-        let s = tape.sum_all(y);
+        let v = tape.leaf(Tensor::ones([2, 3]));
+        let src = tape.gather_src_batched(&edges, v);
+        let dst = tape.gather_dst_batched(&edges, v);
+        assert_eq!(tape.value(src).dims(), &[2, 0]);
+        assert_eq!(tape.value(dst).dims(), &[2, 0]);
+        let logits = tape.add(c, src);
+        let logits = tape.add(logits, dst);
+        let a = tape.segment_softmax_batched(&edges, logits);
+        assert_eq!(tape.value(a).dims(), &[2, 0]);
+        let (sy, sa) = (tape.sum_all(y), tape.sum_all(a));
+        let s = tape.add(sy, sa);
         tape.backward(s);
         assert_eq!(tape.grad(x).unwrap().dims(), &[2, 3, 4]);
+        assert_eq!(tape.grad(v).unwrap().dims(), &[2, 3]);
+        assert!(tape.grad(v).unwrap().data().iter().all(|&g| g == 0.0));
     }
 }

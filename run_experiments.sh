@@ -269,10 +269,10 @@ if [ "$VERIFY" = 1 ]; then
     RTGCN_JOBS=1 $B/table4_baselines --logs "$V" --markets csi --seeds 1 --epochs 2 > "$V/table4_csi.txt" 2>&1
     $B/rtgcn-report --logs "$V" --harness table4_baselines \
       --out results/BENCH_table4.verify.json --md "$V/BENCH_table4.verify.md"
-    # --verify-perf defaults NEW_JSON to the snapshot written just above and
-    # the threshold to 1.25; on failure it names the top regressing span
-    # paths by self time.
-    if $B/rtgcn-report --baseline results/BENCH_table4.json --verify-perf; then
+    # On failure rtgcn-report names the top regressing span paths by self
+    # time.
+    if $B/rtgcn-report --baseline results/BENCH_table4.json \
+      results/BENCH_table4.verify.json --threshold 1.25; then
       break
     fi
     [ "$attempt" -ge 2 ] && { echo "VERIFY_PERF_REGRESSION (reproduced on re-measure)" >&2; exit 3; }
