@@ -18,32 +18,43 @@
 //! because anchor normalisation divides stock `i`'s features by a per-stock
 //! scalar.
 //!
+//! ## Edge-set swaps
+//!
+//! The dots are held as one series per edge, aligned with the edge list.
+//! [`TimePlaneCache::set_edges`] (relation add/drop events) moves each
+//! surviving edge's series to its new position, dots only the edges it
+//! does not already hold over the stored raw history, and drops the rest:
+//! O(E + days·ΔE·d) for ΔE new edges. A dropped series is never resumed —
+//! it would miss the days its edge was absent — so a re-added edge is a
+//! new edge.
+//!
 //! ## Parity contract
 //!
-//! [`TimePlaneCache::push_day`] and the from-scratch rebuilds
-//! ([`TimePlaneCache::from_history`], [`TimePlaneCache::set_edges`]) compute
-//! each plane through the same pure per-day function, so streamed and
-//! rebuilt caches are bit-identical. Against the direct
-//! `edge_dot_batched` path (which dots *normalised* features) the assembled
-//! correlations agree to float tolerance only — the division happens in a
-//! different place.
+//! [`TimePlaneCache::push_day`], [`TimePlaneCache::from_history`] and
+//! [`TimePlaneCache::set_edges`] compute every cached value through the
+//! same pure per-(day, edge) dot, so streamed, swapped and rebuilt caches
+//! are bit-identical. Against the direct `edge_dot_batched` path (which
+//! dots *normalised* features) the assembled correlations agree to float
+//! tolerance only — the division happens in a different place.
 
 use rtgcn_tensor::Tensor;
+use std::collections::BTreeMap;
 
 /// Raw per-edge feature inner products for every generated day, refreshed
-/// one plane per day-advance and rebuilt in full on edge-set mutations.
+/// one plane per day-advance; an edge-set swap dots only the new edges.
 #[derive(Clone, Debug)]
 pub struct TimePlaneCache {
     n: usize,
     d: usize,
-    /// Directed relation edges the dots are aligned with.
+    /// Directed relation edges the series are aligned with.
     edges: Vec<[usize; 2]>,
     days: usize,
-    /// Raw feature history `(day, stock, feature)` row-major — kept so edge
-    /// add/drop events can rebuild every plane for the new edge set.
+    /// Raw feature history `(day, stock, feature)` row-major — kept so an
+    /// edge added by a relation event can be dotted over every day.
     raw_hist: Vec<f32>,
-    /// Per-day, per-edge raw inner products, `(day, edge)` row-major.
-    rawdot: Vec<f32>,
+    /// One raw inner-product series per edge, `series[e][day]`; every
+    /// series holds exactly `days` values.
+    series: Vec<Vec<f32>>,
 }
 
 impl TimePlaneCache {
@@ -53,7 +64,8 @@ impl TimePlaneCache {
         for e in &edges {
             assert!(e[0] < n && e[1] < n, "edge {e:?} out of range for n={n}");
         }
-        TimePlaneCache { n, d, edges, days: 0, raw_hist: Vec::new(), rawdot: Vec::new() }
+        let series = vec![Vec::new(); edges.len()];
+        TimePlaneCache { n, d, edges, days: 0, raw_hist: Vec::new(), series }
     }
 
     /// Batch rebuild from a full raw-feature history, `(days, n, d)`
@@ -84,44 +96,50 @@ impl TimePlaneCache {
         &self.edges
     }
 
-    /// Raw per-edge dots for one day's raw feature row — the single pure
-    /// function both the incremental and rebuild paths go through.
-    fn dots_for(raw_row: &[f32], edges: &[[usize; 2]], d: usize) -> Vec<f32> {
-        edges
-            .iter()
-            .map(|&[s, t]| {
-                let mut acc = 0.0f32;
-                for f in 0..d {
-                    acc += raw_row[s * d + f] * raw_row[t * d + f];
-                }
-                acc
-            })
-            .collect()
+    /// Raw dot of one edge on one day's raw feature row — the single pure
+    /// function every cached value goes through.
+    fn dot(raw_row: &[f32], [s, t]: [usize; 2], d: usize) -> f32 {
+        let mut acc = 0.0f32;
+        for f in 0..d {
+            acc += raw_row[s * d + f] * raw_row[t * d + f];
+        }
+        acc
     }
 
     /// Ingest the next day's raw features (`n × d` row-major): appends one
-    /// plane of per-edge dots. O(E·d) — only the newest plane is touched.
+    /// dot to every edge's series. O(E·d) — only the newest plane is
+    /// touched.
     pub fn push_day(&mut self, raw_row: &[f32]) {
         assert_eq!(raw_row.len(), self.n * self.d, "raw row must be n×d");
         refresh_counter().inc(1);
-        self.rawdot.extend(Self::dots_for(raw_row, &self.edges, self.d));
+        for (series, &edge) in self.series.iter_mut().zip(&self.edges) {
+            series.push(Self::dot(raw_row, edge, self.d));
+        }
         self.raw_hist.extend_from_slice(raw_row);
         self.days += 1;
     }
 
-    /// Swap in a new directed edge set (after relation add/drop events) and
-    /// rebuild every plane's dots from the stored raw history. O(days·E·d),
-    /// paid only on mutation days.
+    /// Swap in a new directed edge set (after relation add/drop events).
+    /// Edges already held keep their series, looked up by edge rather than
+    /// by position; only new edges are dotted over the stored raw history.
+    /// O(E + days·ΔE·d) for ΔE new edges, paid only on mutation days. A
+    /// duplicated edge takes the held series once and is re-dotted after.
     pub fn set_edges(&mut self, edges: Vec<[usize; 2]>) {
         for e in &edges {
             assert!(e[0] < self.n && e[1] < self.n, "edge {e:?} out of range for n={}", self.n);
         }
         rebuild_counter().inc(1);
+        let mut held: BTreeMap<[usize; 2], Vec<f32>> =
+            self.edges.iter().copied().zip(std::mem::take(&mut self.series)).collect();
+        let (rows, d) = (self.raw_hist.chunks_exact(self.n * self.d), self.d);
+        self.series = edges
+            .iter()
+            .map(|&edge| {
+                held.remove(&edge)
+                    .unwrap_or_else(|| rows.clone().map(|row| Self::dot(row, edge, d)).collect())
+            })
+            .collect();
         self.edges = edges;
-        self.rawdot.clear();
-        for row in self.raw_hist.chunks_exact(self.n * self.d) {
-            self.rawdot.extend(Self::dots_for(row, &self.edges, self.d));
-        }
     }
 
     /// Assemble the `(t_steps, E)` correlation factor for the window ending
@@ -140,11 +158,11 @@ impl TimePlaneCache {
         let e_count = self.edges.len();
         let start = end_day + 1 - t_steps;
         let mut out = Tensor::zeros([t_steps, e_count]);
-        for t in 0..t_steps {
-            let plane = &self.rawdot[(start + t) * e_count..(start + t + 1) * e_count];
-            let row = &mut out.data_mut()[t * e_count..(t + 1) * e_count];
-            for (e, &[s, dst]) in self.edges.iter().enumerate() {
-                row[e] = plane[e] / (anchors[s] * anchors[dst] * scale);
+        let data = out.data_mut();
+        for (e, (&[s, dst], series)) in self.edges.iter().zip(&self.series).enumerate() {
+            let denom = anchors[s] * anchors[dst] * scale;
+            for (t, &v) in series[start..start + t_steps].iter().enumerate() {
+                data[t * e_count + e] = v / denom;
             }
         }
         out
@@ -169,6 +187,18 @@ mod tests {
         (0..days * n * d).map(|i| ((i * 37 + 11) % 23) as f32 * 0.5 - 4.0).collect()
     }
 
+    fn series_bits(c: &TimePlaneCache) -> Vec<Vec<u32>> {
+        c.series.iter().map(|s| s.iter().map(|v| v.to_bits()).collect()).collect()
+    }
+
+    /// Every cached dot through the public read path: unit anchors and
+    /// scale over the full history (division by 1.0 is exact).
+    fn window_bits(c: &TimePlaneCache) -> Vec<u32> {
+        let ones = vec![1.0; c.n_stocks()];
+        let window = c.corr_window(c.days() - 1, c.days(), &ones, 1.0);
+        window.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn incremental_equals_batch_rebuild_bitwise() {
         let (n, d) = (4, 3);
@@ -180,22 +210,43 @@ mod tests {
             inc.push_day(row);
         }
         assert_eq!(inc.days(), batch.days());
-        let a: Vec<u32> = inc.rawdot.iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u32> = batch.rawdot.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b);
+        assert_eq!(series_bits(&inc), series_bits(&batch));
     }
 
     #[test]
     fn edge_mutation_rebuild_matches_fresh_cache_bitwise() {
+        // Each case swaps in its edge sets in turn, starting from `base`
+        // over 20 days, with two days pushed before every swap and one after
+        // the last, so swaps land at different history lengths (all longer
+        // than a model window).
         let (n, d) = (5, 2);
-        let raw = toy_raw(20, n, d);
-        let mut cache = TimePlaneCache::from_history(n, d, vec![[0, 1], [1, 0]], &raw);
-        let new_edges = vec![[0, 1], [1, 0], [2, 4], [4, 2]];
-        cache.set_edges(new_edges.clone());
-        let fresh = TimePlaneCache::from_history(n, d, new_edges, &raw);
-        let a: Vec<u32> = cache.rawdot.iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u32> = fresh.rawdot.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b, "post-mutation rebuild must equal a fresh cache");
+        let base = [[0, 1], [1, 0], [2, 3], [3, 2]];
+        let cases: [(&str, &[&[[usize; 2]]]); 7] = [
+            ("add", &[&[[0, 1], [1, 0], [2, 3], [3, 2], [2, 4], [4, 2]]]),
+            ("drop", &[&[[2, 3], [3, 2]]]),
+            ("add and drop in one swap", &[&[[1, 4], [4, 1], [2, 3], [3, 2]]]),
+            ("reorder", &[&[[3, 2], [2, 3], [1, 0], [0, 1]]]),
+            ("duplicate", &[&[[0, 1], [2, 3], [0, 1], [1, 0], [2, 3], [3, 2]]]),
+            ("through the empty set", &[&[], &[[0, 4], [4, 0]]]),
+            ("re-add", &[&[[0, 1], [1, 0]], &[[0, 1], [1, 0], [2, 3], [3, 2]]]),
+        ];
+        let raw = toy_raw(40, n, d);
+        let day = |k: usize| &raw[k * n * d..(k + 1) * n * d];
+        for (name, swaps) in cases {
+            let mut cache = TimePlaneCache::from_history(n, d, base.to_vec(), &raw[..20 * n * d]);
+            for edges in swaps {
+                for _ in 0..2 {
+                    cache.push_day(day(cache.days()));
+                }
+                cache.set_edges(edges.to_vec());
+            }
+            cache.push_day(day(cache.days()));
+            let last = swaps[swaps.len() - 1].to_vec();
+            let fresh = TimePlaneCache::from_history(n, d, last, &raw[..cache.days() * n * d]);
+            assert_eq!(cache.edges(), fresh.edges(), "{name}: edges");
+            assert_eq!(series_bits(&cache), series_bits(&fresh), "{name}: series");
+            assert_eq!(window_bits(&cache), window_bits(&fresh), "{name}: corr_window");
+        }
     }
 
     #[test]

@@ -47,13 +47,14 @@ impl RelationTensor {
 
     /// Set relation `k` between stocks `i` and `j` (symmetric). Self
     /// relations are rejected — the graph adds self-loops separately during
-    /// renormalisation.
-    pub fn connect(&mut self, i: usize, j: usize, k: RelationType) {
+    /// renormalisation. Returns whether the flag was clear, i.e. whether
+    /// the tensor changed.
+    pub fn connect(&mut self, i: usize, j: usize, k: RelationType) -> bool {
         assert!(i < self.n && j < self.n, "stock index out of range ({i},{j}) for n={}", self.n);
         assert!(k < self.k_types, "relation type {k} out of range for K={}", self.k_types);
         assert_ne!(i, j, "self relations are not stored in 𝒜");
         let hot = self.entries.entry(Self::key(i, j)).or_insert_with(|| vec![false; self.k_types]);
-        hot[k] = true;
+        !std::mem::replace(&mut hot[k], true)
     }
 
     /// Clear relation `k` between stocks `i` and `j` (symmetric). If no
@@ -226,8 +227,8 @@ mod tests {
     #[test]
     fn relation_ratio_counts_pairs_once() {
         let mut r = RelationTensor::new(4, 1);
-        r.connect(0, 1, 0);
-        r.connect(0, 1, 0); // duplicate, no effect
+        assert!(r.connect(0, 1, 0));
+        assert!(!r.connect(0, 1, 0), "duplicate, no effect");
         r.connect(2, 3, 0);
         assert_eq!(r.num_related_pairs(), 2);
         assert!((r.relation_ratio() - 2.0 / 6.0).abs() < 1e-12);

@@ -132,9 +132,11 @@ impl StockDataset {
     /// Apply a relation mutation event, effective from the next generated
     /// day: added edges start spilling over and enter the wiki relation
     /// tensor; dropped pairs stop spilling over (both directions, leader
-    /// edges included) and leave the tensor. Mutating relations mid-stream
-    /// invalidates any adjacency derived from the old tensor — callers
-    /// (`StreamEngine`) rebuild their caches when this returns `true`.
+    /// edges included) and leave the tensor. Returns whether the tensor
+    /// changed: an add whose every type flag was already set still spills
+    /// over but reports `false`. Mutating relations mid-stream invalidates
+    /// any adjacency derived from the old tensor — callers (`StreamEngine`)
+    /// rebuild their caches when this returns `true`.
     pub fn apply_event(&mut self, event: &DayEvent) -> bool {
         let mut relations_changed = false;
         for e in &event.add {
@@ -145,11 +147,10 @@ impl StockDataset {
                 self.wiki.relations.num_types()
             );
             for &t in &e.types {
-                self.wiki.relations.connect(e.leader, e.follower, t);
+                relations_changed |= self.wiki.relations.connect(e.leader, e.follower, t);
             }
             self.wiki.edges.push(e.clone());
             self.sim.add_spillover_edge(e.clone());
-            relations_changed = true;
         }
         for &(a, b) in &event.drop {
             let was_related = self.wiki.relations.disconnect_pair(a, b);
@@ -315,38 +316,47 @@ mod tests {
         assert_eq!(streamed.sim.returns, batch.sim.returns);
     }
 
+    /// A NASDAQ dataset cut at the shock day, and an add event for its first
+    /// pair without a wiki relation.
+    fn nasdaq_with_add() -> (StockDataset, DayEvent) {
+        let spec = UniverseSpec::of(Market::Nasdaq, Scale::Small);
+        let ds = StockDataset::generate_through(spec.clone(), 3, spec.test_start());
+        assert!(ds.wiki.relations.num_types() > 0, "nasdaq universe has wiki types");
+        let n = ds.n_stocks();
+        let (leader, follower) = (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+            .find(|&(i, j)| !ds.wiki.relations.related(i, j))
+            .unwrap();
+        let edge = crate::relations::WikiEdge {
+            leader,
+            follower,
+            types: vec![0],
+            strength: 0.4,
+            period: 10,
+            phase: 0,
+            duty: 1.0,
+        };
+        (ds, DayEvent { add: vec![edge], drop: vec![] })
+    }
+
+    #[test]
+    fn repeated_add_reports_a_change_once() {
+        let (mut ds, ev) = nasdaq_with_add();
+        let spillovers = ds.sim.config.spillover_edges.len();
+        assert!(ds.apply_event(&ev), "a new pair changes the graph");
+        assert!(!ds.apply_event(&ev), "the same add again flips no flag");
+        assert_eq!(ds.sim.config.spillover_edges.len(), spillovers + 2, "both adds spill over");
+    }
+
     #[test]
     fn day_events_mutate_relations_and_spillovers() {
-        let spec = UniverseSpec::of(Market::Nasdaq, Scale::Small);
-        let mut ds = StockDataset::generate_through(spec.clone(), 3, spec.test_start());
-        let k = ds.wiki.relations.num_types();
-        assert!(k > 0, "nasdaq universe has wiki types");
-        // Pick an existing related pair to drop and an unrelated pair to add.
-        let (a, b, _) = ds.wiki.relations.pairs().next().map(|(i, j, h)| (i, j, h.to_vec())).unwrap();
-        let n = ds.n_stocks();
-        let (mut x, mut y) = (0, 1);
-        'outer: for i in 0..n {
-            for j in (i + 1)..n {
-                if !ds.wiki.relations.related(i, j) {
-                    (x, y) = (i, j);
-                    break 'outer;
-                }
-            }
-        }
+        let (mut ds, mut ev) = nasdaq_with_add();
+        let (x, y) = (ev.add[0].leader, ev.add[0].follower);
+        // Drop an existing related pair in the same event.
+        let (a, b, _) = ds.wiki.relations.pairs().next().unwrap();
+        ev.drop.push((a, b));
         let pairs_before = ds.wiki.relations.num_related_pairs();
         let edges_before = ds.sim.config.spillover_edges.len();
-        let ev = DayEvent {
-            add: vec![crate::relations::WikiEdge {
-                leader: x,
-                follower: y,
-                types: vec![0],
-                strength: 0.4,
-                period: 10,
-                phase: 0,
-                duty: 1.0,
-            }],
-            drop: vec![(a, b)],
-        };
         let day = ds.append_day(Some(&ev));
         assert_eq!(day + 1, ds.days_generated());
         assert_eq!(ds.wiki.relations.num_related_pairs(), pairs_before, "one in, one out");

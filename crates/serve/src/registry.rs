@@ -214,11 +214,15 @@ impl Registry {
         if days == 0 {
             return Err(ServeError::BadInput("days must be a positive integer".into()));
         }
+        // Read the entry only under `streams`. `install_entry` takes
+        // `streams` first too, so a hot-swap lands wholly before this
+        // advance (which then rolls the new entry) or wholly after it (and
+        // drops the stream). An entry read before the lock could be
+        // replaced in between, and the roll would publish over the swap.
+        let mut streams = self.streams.lock();
         let entry =
             self.get(market).ok_or_else(|| ServeError::BadInput("unknown market".into()))?;
         let base = base_version(&entry.version).to_string();
-
-        let mut streams = self.streams.lock();
         let stale = streams.get(market).map(|s| s.base_version != base).unwrap_or(true);
         if stale {
             let engine = self.stream_for(&entry)?;

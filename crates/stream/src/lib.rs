@@ -7,8 +7,9 @@
 //! Each [`StreamEngine::advance`] call:
 //!
 //! 1. applies any relation mutations ([`DayEvent`] edge adds/drops) and,
-//!    when the graph actually changed, rebuilds the per-plane dot cache and
-//!    asks the model to absorb the new tensor
+//!    when a relation flag actually flipped, swaps the per-plane dot cache
+//!    onto the new edge set (dotting only the new edges over the history)
+//!    and asks the model to absorb the new tensor
 //!    ([`StockRanker::refresh_relations`]);
 //! 2. appends one simulated day to the dataset (bit-identical to batch
 //!    generation — see [`StockDataset::generate_through`]);
@@ -288,10 +289,11 @@ impl StreamEngine {
     }
 
     /// After a relation mutation: swap the plane cache onto the new edge
-    /// set (rebuilding every cached plane's dots) and hand the model the
-    /// new tensor. A model that cannot absorb it keeps scoring through its
-    /// own exact path — the dimension guard on the correlation override
-    /// makes the stale fast path unusable rather than silently wrong.
+    /// set (surviving edges keep their cached dots; only new edges are
+    /// dotted over the history) and hand the model the new tensor. A model
+    /// that cannot absorb it keeps scoring through its own exact path — the
+    /// dimension guard on the correlation override makes the stale fast
+    /// path unusable rather than silently wrong.
     fn rebuild_relation_state(&mut self) {
         let relations = self.ds.relations(self.cfg.relation_kind);
         self.planes.set_edges(relations.directed_edges());
