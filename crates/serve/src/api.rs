@@ -122,8 +122,9 @@ fn score_response(registry: &Registry, req: &Request) -> Response {
     };
     let mut window = Vec::with_capacity(raw_window.len());
     for v in raw_window {
-        match v.as_f64() {
-            Some(f) => window.push(f as f32),
+        match v.as_f64().map(|f| f as f32) {
+            Some(f) if f.is_finite() => window.push(f),
+            Some(_) => return err_json(400, "window values must be finite f32 numbers"),
             None => return err_json(400, "window values must be numbers"),
         }
     }

@@ -221,6 +221,12 @@ fn score_error_fixtures() {
         post("/score", "{\"market\":\"csi\",\"window\":[1,\"x\"]}"),
         (400, "{\"error\":\"window values must be numbers\"}".to_string())
     );
+    // 1e39 is a finite JSON number but overflows f32 to inf.
+    let overflow = format!("{{\"market\":\"csi\",\"window\":[1e39{}]}}", ",1".repeat(15));
+    assert_eq!(
+        post("/score", &overflow),
+        (400, "{\"error\":\"window values must be finite f32 numbers\"}".to_string())
+    );
     assert_eq!(
         post("/score", "{\"market\":\"tse\",\"window\":[1,2]}"),
         (404, "{\"error\":\"unknown market\"}".to_string())
@@ -234,4 +240,13 @@ fn score_error_fixtures() {
         )
     );
     assert_eq!(get("/score"), (405, "{\"error\":\"/score is POST-only\"}".to_string()));
+}
+
+/// A 1 MiB JSON string is decoded in one pass, so the request is answered
+/// well within the fixture's 5 s read timeout instead of pinning a server
+/// thread on a per-character re-scan of the rest of the body.
+#[test]
+fn score_with_a_one_mib_market_string_answers_promptly() {
+    let body = format!("{{\"market\":\"{}\",\"window\":[]}}", "m".repeat(1 << 20));
+    assert_eq!(post("/score", &body), (404, "{\"error\":\"unknown market\"}".to_string()));
 }

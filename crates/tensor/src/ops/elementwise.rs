@@ -2,35 +2,34 @@
 //! ops) recorded on a [`Tape`].
 
 use crate::shape::Shape;
-use crate::tape::{Tape, Var};
+use crate::tape::{BackwardCtx, Tape, Var};
 use crate::tensor::Tensor;
 
 /// Apply a binary op with broadcasting; `fwd` computes elementwise values,
 /// `dfa`/`dfb` compute the local derivatives w.r.t. each operand given
-/// `(a, b, out)` values at that element.
-fn binary_broadcast(
+/// `(a, b, out)` values at that element. Generic over the closures, so each
+/// op's forward and backward loops inline them and vectorise.
+fn binary_broadcast<F, DA, DB>(
     name: &'static str,
     tape: &mut Tape,
     a: Var,
     b: Var,
-    fwd: fn(f32, f32) -> f32,
-    dfa: fn(f32, f32, f32) -> f32,
-    dfb: fn(f32, f32, f32) -> f32,
-) -> Var {
+    fwd: F,
+    dfa: DA,
+    dfb: DB,
+) -> Var
+where
+    F: Fn(f32, f32) -> f32,
+    DA: Fn(f32, f32, f32) -> f32 + 'static,
+    DB: Fn(f32, f32, f32) -> f32 + 'static,
+{
     let (av, bv) = (tape.value(a), tape.value(b));
     let (ashape, bshape) = (av.shape().clone(), bv.shape().clone());
     if ashape == bshape {
         // Fast path: no broadcasting, no materialised copies.
         let out = av.zip(bv, fwd);
         return tape.push_op_named(name, out, vec![a, b], move |ctx| {
-            let (av, bv, ov, g) =
-                (ctx.parents[0].data(), ctx.parents[1].data(), ctx.output.data(), ctx.grad.data());
-            let mut ga = vec![0.0; av.len()];
-            let mut gb = vec![0.0; bv.len()];
-            for i in 0..av.len() {
-                ga[i] = g[i] * dfa(av[i], bv[i], ov[i]);
-                gb[i] = g[i] * dfb(av[i], bv[i], ov[i]);
-            }
+            let (ga, gb) = binary_grads(ctx.parents[0], ctx.parents[1], ctx, &dfa, &dfb);
             vec![
                 Tensor::new(ctx.parents[0].shape().clone(), ga),
                 Tensor::new(ctx.parents[1].shape().clone(), gb),
@@ -47,13 +46,7 @@ fn binary_broadcast(
     tape.push_op_named(name, out, vec![a, b], move |ctx| {
         let ab = ctx.parents[0].broadcast_to(&target);
         let bb = ctx.parents[1].broadcast_to(&target);
-        let (ad, bd, od, g) = (ab.data(), bb.data(), ctx.output.data(), ctx.grad.data());
-        let mut ga = vec![0.0; ad.len()];
-        let mut gb = vec![0.0; bd.len()];
-        for i in 0..ad.len() {
-            ga[i] = g[i] * dfa(ad[i], bd[i], od[i]);
-            gb[i] = g[i] * dfb(ad[i], bd[i], od[i]);
-        }
+        let (ga, gb) = binary_grads(&ab, &bb, ctx, &dfa, &dfb);
         vec![
             Tensor::new(target.clone(), ga).reduce_to(ctx.parents[0].shape()),
             Tensor::new(target.clone(), gb).reduce_to(ctx.parents[1].shape()),
@@ -61,19 +54,38 @@ fn binary_broadcast(
     })
 }
 
+/// `g · dfa(a, b, out)` and `g · dfb(a, b, out)` at every element of
+/// same-shaped `a`, `b` and the op's output.
+fn binary_grads(
+    a: &Tensor,
+    b: &Tensor,
+    ctx: &BackwardCtx<'_>,
+    dfa: &impl Fn(f32, f32, f32) -> f32,
+    dfb: &impl Fn(f32, f32, f32) -> f32,
+) -> (Vec<f32>, Vec<f32>) {
+    let n = a.numel();
+    let (ad, bd, od, g) =
+        (a.data(), &b.data()[..n], &ctx.output.data()[..n], &ctx.grad.data()[..n]);
+    let mut ga = vec![0.0; n];
+    let mut gb = vec![0.0; n];
+    for i in 0..n {
+        ga[i] = g[i] * dfa(ad[i], bd[i], od[i]);
+        gb[i] = g[i] * dfb(ad[i], bd[i], od[i]);
+    }
+    (ga, gb)
+}
+
 /// Apply a unary op; `fwd` maps each element, `df` gives the local derivative
 /// from `(x, y)`.
-fn unary(
-    name: &'static str,
-    tape: &mut Tape,
-    x: Var,
-    fwd: fn(f32) -> f32,
-    df: fn(f32, f32) -> f32,
-) -> Var {
+fn unary<F, D>(name: &'static str, tape: &mut Tape, x: Var, fwd: F, df: D) -> Var
+where
+    F: Fn(f32) -> f32,
+    D: Fn(f32, f32) -> f32 + 'static,
+{
     let out = tape.value(x).map(fwd);
     tape.push_op_named(name, out, vec![x], move |ctx| {
         let (xd, yd, g) = (ctx.parents[0].data(), ctx.output.data(), ctx.grad.data());
-        let data = (0..xd.len()).map(|i| g[i] * df(xd[i], yd[i])).collect();
+        let data = xd.iter().zip(yd).zip(g).map(|((&x, &y), &g)| g * df(x, y)).collect();
         vec![Tensor::new(ctx.parents[0].shape().clone(), data)]
     })
 }
@@ -175,7 +187,7 @@ impl Tape {
         let out = self.value(x).map(|v| v.max(min));
         self.push_op_named("clamp_min", out, vec![x], move |ctx| {
             let (xd, g) = (ctx.parents[0].data(), ctx.grad.data());
-            let data = (0..xd.len()).map(|i| if xd[i] > min { g[i] } else { 0.0 }).collect();
+            let data = xd.iter().zip(g).map(|(&x, &g)| if x > min { g } else { 0.0 }).collect();
             vec![Tensor::new(ctx.parents[0].shape().clone(), data)]
         })
     }

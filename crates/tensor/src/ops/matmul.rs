@@ -35,15 +35,20 @@ impl Tape {
         assert_eq!(bv.dims()[0], wv.dims()[1], "bias length must equal output width");
         let mut out = linalg::matmul(xv, wv);
         let n = bv.dims()[0];
-        for (i, v) in out.data_mut().iter_mut().enumerate() {
-            *v += bv.data()[i % n];
+        // `max(1)`: `chunks_exact` rejects 0, and a zero-width output is empty.
+        for row in out.data_mut().chunks_exact_mut(n.max(1)) {
+            for (v, &b) in row.iter_mut().zip(bv.data()) {
+                *v += b;
+            }
         }
         self.push_op_named("linear", out, vec![x, w, bias], move |ctx| {
             let gx = linalg::matmul_nt(ctx.grad, ctx.parents[1]);
             let gw = linalg::matmul_tn(ctx.parents[0], ctx.grad);
             let mut gb = vec![0.0; n];
-            for (i, &g) in ctx.grad.data().iter().enumerate() {
-                gb[i % n] += g;
+            for row in ctx.grad.data().chunks_exact(n.max(1)) {
+                for (acc, &g) in gb.iter_mut().zip(row) {
+                    *acc += g;
+                }
             }
             vec![gx, gw, Tensor::from_vec(gb)]
         })

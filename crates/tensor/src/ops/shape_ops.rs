@@ -2,7 +2,7 @@
 //! gather/slice. All are differentiable (their backward is the inverse data
 //! movement).
 
-use crate::shape::Shape;
+use crate::shape::{gather, Shape};
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -26,19 +26,11 @@ fn permute3_data(x: &Tensor, perm: [usize; 3]) -> Tensor {
 }
 
 /// Row-major `(d0, d1, d2)` data with its axes permuted so that output axis
-/// `i` is input axis `perm[i]`. Walks the input with precomputed strides,
-/// one contiguous output row at a time.
+/// `i` is input axis `perm[i]`: a gather over the output shape with the
+/// input's strides in output-axis order.
 pub(crate) fn permute3_slice(xd: &[f32], d: [usize; 3], perm: [usize; 3]) -> Vec<f32> {
     let stride = [d[1] * d[2], d[2], 1];
-    let (od, os) = (perm.map(|p| d[p]), perm.map(|p| stride[p]));
-    let mut out = vec![0.0f32; xd.len()];
-    for (r, row) in out.chunks_exact_mut(od[2].max(1)).enumerate() {
-        let base = (r / od[1]) * os[0] + (r % od[1]) * os[1];
-        for (k, o) in row.iter_mut().enumerate() {
-            *o = xd[base + k * os[2]];
-        }
-    }
-    out
+    gather(xd, &perm.map(|p| d[p]), &perm.map(|p| stride[p]))
 }
 
 /// Inverse of a rank-3 permutation.

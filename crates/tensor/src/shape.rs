@@ -1,5 +1,6 @@
-//! Shape utilities: dimension bookkeeping, row-major strides and NumPy-style
-//! broadcasting used by every tensor op in the workspace.
+//! Shape utilities: dimension bookkeeping, row-major strides, NumPy-style
+//! broadcasting, and the stride walker that every broadcast, reduction and
+//! permutation in the workspace runs on.
 
 use std::fmt;
 
@@ -131,45 +132,52 @@ impl<const N: usize> From<[usize; N]> for Shape {
     }
 }
 
-/// Iterator over all multi-indices of a shape in row-major order. Used by
-/// generic broadcasting fallbacks (hot paths use specialised kernels).
-pub struct IndexIter {
-    dims: Vec<usize>,
-    cur: Vec<usize>,
-    done: bool,
+/// Strides that read a tensor of shape `src` as if it were broadcast to
+/// `target` (axes aligned from the right): a size-1 axis of `src`, and every
+/// leading axis `src` lacks, gets stride 0. `src` must broadcast to `target`.
+pub(crate) fn broadcast_strides(src: &Shape, target: &Shape) -> Vec<usize> {
+    let rank_diff = target.rank() - src.rank();
+    let mut strides = vec![0; target.rank()];
+    for (sd, (&d, s)) in src.dims().iter().zip(src.strides()).enumerate() {
+        if d != 1 {
+            strides[rank_diff + sd] = s;
+        }
+    }
+    strides
 }
 
-impl IndexIter {
-    pub fn new(shape: &Shape) -> Self {
-        let done = shape.numel() == 0;
-        IndexIter { dims: shape.0.clone(), cur: vec![0; shape.rank()], done }
+/// Walk every multi-index `idx` of `dims` in row-major order, handing `f`
+/// each run along the innermost axis as `(offset, len, stride)`: the run's
+/// elements sit at `offset + k · stride` for `k < len`, where an element's
+/// offset is `Σ idx[d] · strides[d]`. Nothing is allocated. A rank-0 shape is
+/// one run of length 1; a shape with a zero-size axis has no elements.
+pub(crate) fn walk(dims: &[usize], strides: &[usize], mut f: impl FnMut(usize, usize, usize)) {
+    assert_eq!(dims.len(), strides.len(), "walk needs one stride per axis");
+    walk_from(dims, strides, 0, &mut f);
+}
+
+fn walk_from(
+    dims: &[usize],
+    strides: &[usize],
+    base: usize,
+    f: &mut impl FnMut(usize, usize, usize),
+) {
+    match dims {
+        [] => f(base, 1, 0),
+        [n] => f(base, *n, strides[0]),
+        [n, inner @ ..] => {
+            (0..*n).for_each(|i| walk_from(inner, &strides[1..], base + i * strides[0], f))
+        }
     }
 }
 
-impl Iterator for IndexIter {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        if self.done {
-            return None;
-        }
-        let out = self.cur.clone();
-        // advance odometer
-        let mut i = self.dims.len();
-        loop {
-            if i == 0 {
-                self.done = true;
-                break;
-            }
-            i -= 1;
-            self.cur[i] += 1;
-            if self.cur[i] < self.dims[i] {
-                break;
-            }
-            self.cur[i] = 0;
-        }
-        Some(out)
-    }
+/// The elements of `data` at the offsets of `walk(dims, strides)`, in walk
+/// order: a broadcast when `strides` come from [`broadcast_strides`], a
+/// permutation when they are `data`'s own strides reordered.
+pub(crate) fn gather(data: &[f32], dims: &[usize], strides: &[usize]) -> Vec<f32> {
+    let mut out = Vec::with_capacity(dims.iter().product());
+    walk(dims, strides, |base, n, s| out.extend((0..n).map(|k| data[base + k * s])));
+    out
 }
 
 #[cfg(test)]
@@ -211,16 +219,28 @@ mod tests {
         assert_eq!(Shape::scalar().broadcast_with(&a).unwrap().dims(), a.dims());
     }
 
-    #[test]
-    fn index_iter_row_major_order() {
-        let s = Shape::from([2, 2]);
-        let idxs: Vec<_> = IndexIter::new(&s).collect();
-        assert_eq!(idxs, vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]]);
+    fn walked(dims: &[usize], strides: &[usize]) -> Vec<usize> {
+        let mut offsets = Vec::new();
+        walk(dims, strides, |base, n, s| offsets.extend((0..n).map(|k| base + k * s)));
+        offsets
     }
 
     #[test]
-    fn index_iter_scalar_yields_one() {
-        let idxs: Vec<_> = IndexIter::new(&Shape::scalar()).collect();
-        assert_eq!(idxs, vec![Vec::<usize>::new()]);
+    fn walk_visits_row_major_offsets() {
+        let s = Shape::from([2, 3, 2]);
+        assert_eq!(walked(s.dims(), &s.strides()), (0..12).collect::<Vec<_>>());
+        // Transposed strides read a (2, 3) matrix column by column.
+        assert_eq!(walked(&[3, 2], &[1, 3]), vec![0, 3, 1, 4, 2, 5]);
+        assert_eq!(walked(&[], &[]), vec![0]);
+        assert!(walked(&[2, 0, 3], &[0, 3, 1]).is_empty());
+    }
+
+    #[test]
+    fn broadcast_strides_zero_on_broadcast_axes() {
+        let (src, target) = (Shape::from([3, 1]), Shape::from([2, 3, 4]));
+        assert_eq!(broadcast_strides(&src, &target), vec![0, 1, 0]);
+        assert_eq!(walked(target.dims(), &broadcast_strides(&src, &target)).len(), 24);
+        assert_eq!(broadcast_strides(&Shape::scalar(), &target), vec![0, 0, 0]);
+        assert_eq!(broadcast_strides(&target, &target), target.strides());
     }
 }

@@ -4,7 +4,7 @@
 //! operates on plain `Tensor` values (see [`crate::tape`]); `Tensor` itself is
 //! a value type with no graph bookkeeping.
 
-use crate::shape::{IndexIter, Shape};
+use crate::shape::{broadcast_strides, gather, walk, Shape};
 use std::fmt;
 
 /// A dense, row-major `f32` tensor.
@@ -250,50 +250,37 @@ impl Tensor {
             return self.clone();
         }
         assert!(
-            self.shape.broadcast_with(target).map(|s| &s == target).unwrap_or(false),
+            self.shape.broadcast_with(target).is_some_and(|s| &s == target),
             "cannot broadcast {:?} to {:?}",
             self.shape,
             target
         );
-        let mut out = Tensor::zeros(target.clone());
-        let src_dims = self.shape.dims();
-        let src_strides = self.shape.strides();
-        let rank_diff = target.rank() - self.shape.rank();
-        for (flat, idx) in IndexIter::new(target).enumerate() {
-            let mut src_flat = 0;
-            for (d, &i) in idx.iter().enumerate() {
-                if d >= rank_diff {
-                    let sd = d - rank_diff;
-                    let si = if src_dims[sd] == 1 { 0 } else { i };
-                    src_flat += si * src_strides[sd];
-                }
-            }
-            out.data[flat] = self.data[src_flat];
-        }
-        out
+        let data = gather(&self.data, target.dims(), &broadcast_strides(&self.shape, target));
+        Tensor { shape: target.clone(), data }
     }
 
     /// Reduce a broadcast gradient back to the original shape by summing over
     /// broadcast dimensions. Inverse of [`Tensor::broadcast_to`] for autodiff.
+    /// Each output sums its sources in row-major order of `self`. Panics
+    /// unless `target` broadcasts to this tensor's shape.
     pub fn reduce_to(&self, target: &Shape) -> Tensor {
         if &self.shape == target {
             return self.clone();
         }
+        assert!(
+            target.broadcast_with(&self.shape).is_some_and(|s| s == self.shape),
+            "cannot reduce {:?} to {:?}",
+            self.shape,
+            target
+        );
         let mut out = Tensor::zeros(target.clone());
-        let tgt_dims = target.dims();
-        let tgt_strides = target.strides();
-        let rank_diff = self.shape.rank() - target.rank();
-        for (flat, idx) in IndexIter::new(&self.shape).enumerate() {
-            let mut tgt_flat = 0;
-            for (d, &i) in idx.iter().enumerate() {
-                if d >= rank_diff {
-                    let td = d - rank_diff;
-                    let ti = if tgt_dims[td] == 1 { 0 } else { i };
-                    tgt_flat += ti * tgt_strides[td];
-                }
+        let mut flat = 0;
+        walk(self.shape.dims(), &broadcast_strides(target, &self.shape), |base, n, s| {
+            for (k, &g) in self.data[flat..flat + n].iter().enumerate() {
+                out.data[base + k * s] += g;
             }
-            out.data[tgt_flat] += self.data[flat];
-        }
+            flat += n;
+        });
         out
     }
 

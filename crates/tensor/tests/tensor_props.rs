@@ -1,17 +1,175 @@
 //! Property-based tests for the tensor engine: algebraic identities of the
-//! linalg kernels and structural invariants of the sparse/conv ops under
-//! random inputs.
+//! linalg kernels, structural invariants of the sparse/conv ops, and
+//! bit-for-bit broadcasting against a multi-index oracle, under random
+//! inputs.
 
 use proptest::prelude::*;
-use rtgcn_tensor::{linalg, ConvSpec, Edges, Tape, Tensor};
+use rtgcn_tensor::{init, linalg, ConvSpec, Edges, Shape, Tape, Tensor, Var};
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-10.0f32..10.0, rows * cols)
         .prop_map(move |data| Tensor::new([rows, cols], data))
 }
 
+/// Every multi-index of `dims` in row-major order, advanced as an odometer:
+/// the reference visiting order that `broadcast_to` and `reduce_to` must
+/// reproduce bit for bit.
+fn multi_indices(dims: &[usize]) -> Vec<Vec<usize>> {
+    if dims.contains(&0) {
+        return Vec::new();
+    }
+    let mut all = Vec::new();
+    let mut cur = vec![0; dims.len()];
+    loop {
+        all.push(cur.clone());
+        let mut d = dims.len();
+        loop {
+            if d == 0 {
+                return all;
+            }
+            d -= 1;
+            cur[d] += 1;
+            if cur[d] < dims[d] {
+                break;
+            }
+            cur[d] = 0;
+        }
+    }
+}
+
+/// Flat index into a tensor of shape `src` of the element that broadcasting
+/// places at multi-index `idx` of the (higher-rank) broadcast shape.
+fn oracle_source(src: &Shape, idx: &[usize]) -> usize {
+    let rank_diff = idx.len() - src.rank();
+    let strides = src.strides();
+    let mut flat = 0;
+    for (sd, &i) in idx[rank_diff..].iter().enumerate() {
+        flat += if src.dims()[sd] == 1 { 0 } else { i * strides[sd] };
+    }
+    flat
+}
+
+fn oracle_broadcast(x: &Tensor, target: &Shape) -> Tensor {
+    if x.shape() == target {
+        return x.clone();
+    }
+    let data = multi_indices(target.dims())
+        .iter()
+        .map(|idx| x.data()[oracle_source(x.shape(), idx)])
+        .collect();
+    Tensor::new(target.clone(), data)
+}
+
+fn oracle_reduce(g: &Tensor, target: &Shape) -> Tensor {
+    if g.shape() == target {
+        return g.clone();
+    }
+    let mut out = Tensor::zeros(target.clone());
+    for (flat, idx) in multi_indices(g.dims()).iter().enumerate() {
+        out.data_mut()[oracle_source(target, idx)] += g.data()[flat];
+    }
+    out
+}
+
+type Forward = fn(f32, f32) -> f32;
+type Partial = fn(f32, f32, f32) -> f32;
+/// An op's name, its tape method, its forward and its two `(a, b, out)`
+/// local derivatives.
+type BinaryOp = (&'static str, fn(&mut Tape, Var, Var) -> Var, Forward, Partial, Partial);
+
+/// The broadcasting binary ops, with derivatives written as the tape
+/// defines them.
+const BINARY_OPS: [BinaryOp; 4] = [
+    ("add", |t, a, b| t.add(a, b), |x, y| x + y, |_, _, _| 1.0, |_, _, _| 1.0),
+    ("sub", |t, a, b| t.sub(a, b), |x, y| x - y, |_, _, _| 1.0, |_, _, _| -1.0),
+    ("mul", |t, a, b| t.mul(a, b), |x, y| x * y, |_, y, _| y, |x, _, _| x),
+    ("div", |t, a, b| t.div(a, b), |x, y| x / y, |_, y, _| 1.0 / y, |x, y, _| -x / (y * y)),
+];
+
+/// Forward value and both gradients of a broadcasting binary op under the
+/// upstream gradient `g` (whose shape is the broadcast shape), computed on
+/// the oracle's materialised operands.
+fn oracle_binary(
+    a: &Tensor,
+    b: &Tensor,
+    g: &Tensor,
+    fwd: Forward,
+    dfa: Partial,
+    dfb: Partial,
+) -> [Tensor; 3] {
+    let target = g.shape();
+    let (ab, bb) = (oracle_broadcast(a, target), oracle_broadcast(b, target));
+    let out = ab.zip(&bb, fwd);
+    let local = |df: Partial| {
+        let (ad, bd, od, gd) = (ab.data(), bb.data(), out.data(), g.data());
+        let data = (0..out.numel()).map(|i| gd[i] * df(ad[i], bd[i], od[i])).collect();
+        Tensor::new(target.clone(), data)
+    };
+    let (ga, gb) = (oracle_reduce(&local(dfa), a.shape()), oracle_reduce(&local(dfb), b.shape()));
+    [out, ga, gb]
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `full` with its first `drop` axes removed and every axis whose bit is set
+/// in `ones` shrunk to 1: always broadcast-compatible with `full`.
+fn operand_shape(full: &[usize], drop: usize, ones: u32) -> Shape {
+    let drop = drop.min(full.len());
+    Shape::from(
+        (drop..full.len())
+            .map(|d| if ones >> d & 1 == 1 { 1 } else { full[d] })
+            .collect::<Vec<_>>(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `broadcast_to`, `reduce_to`, and the forward value and both gradients
+    /// of `add`/`sub`/`mul`/`div` are `to_bits`-equal to the multi-index
+    /// odometer loops for random broadcast-compatible pairs: ranks 0–4,
+    /// size-1 axes on either side, a rank difference, and sometimes a
+    /// zero-size axis.
+    #[test]
+    fn broadcasting_is_bit_identical_to_odometer_oracle(
+        dims in proptest::collection::vec(1usize..5, 0..5),
+        (drop_a, drop_b) in (0usize..5, 0usize..5),
+        (ones_a, ones_b, zero_axis) in (0u32..16, 0u32..16, 0usize..12),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut full = dims;
+        if zero_axis < full.len() {
+            full[zero_axis] = 0;
+        }
+        let sa = operand_shape(&full, drop_a, ones_a);
+        let sb = operand_shape(&full, drop_b, ones_b);
+        let target = sa.broadcast_with(&sb).expect("compatible by construction");
+        let mut rng = init::rng(seed);
+        let a = init::uniform(sa.clone(), -2.0, 2.0, &mut rng);
+        // Keep divisors away from zero so every quotient stays finite.
+        let b = init::uniform(sb.clone(), -2.0, 2.0, &mut rng).map(|v| v + 0.5f32.copysign(v));
+        let g = init::uniform(target.clone(), -2.0, 2.0, &mut rng);
+        for x in [&a, &b] {
+            let s = x.shape();
+            let (got, want) = (x.broadcast_to(&target), oracle_broadcast(x, &target));
+            prop_assert_eq!(bits(&got), bits(&want), "broadcast {s:?} to {target:?}");
+            let (got, want) = (g.reduce_to(s), oracle_reduce(&g, s));
+            prop_assert_eq!(bits(&got), bits(&want), "reduce {target:?} to {s:?}");
+        }
+        for (name, op, fwd, dfa, dfb) in BINARY_OPS {
+            let mut tape = Tape::new();
+            let (av, bv) = (tape.leaf(a.clone()), tape.leaf(b.clone()));
+            let y = op(&mut tape, av, bv);
+            tape.backward_seeded(y, g.clone());
+            let [out, ga, gb] = oracle_binary(&a, &b, &g, fwd, dfa, dfb);
+            let case = format!("{name} of {sa:?} and {sb:?}");
+            prop_assert_eq!(bits(tape.value(y)), bits(&out), "{case}: forward");
+            prop_assert_eq!(bits(tape.grad(av).unwrap()), bits(&ga), "{case}: grad a");
+            prop_assert_eq!(bits(tape.grad(bv).unwrap()), bits(&gb), "{case}: grad b");
+        }
+    }
 
     /// A(B + C) == AB + AC (within f32 tolerance).
     #[test]

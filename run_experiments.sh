@@ -69,7 +69,7 @@
 # concurrent jobs sharing cores would inflate per-seed wall-clock.
 set -e
 set -x
-cd /root/repo
+cd "$(dirname "$0")"
 
 R=results/logs
 SNAPSHOT=0
