@@ -12,11 +12,10 @@
 //! regularisation effect on the decision boundary.
 
 use crate::recurrent::{split_window, LstmCell};
-use rtgcn_core::{FitReport, StockRanker};
+use rtgcn_core::{fit_epochs, FitPlan, FitReport, StepStats, StockRanker};
 use rtgcn_eval::CLASS_UP;
 use rtgcn_market::StockDataset;
-use rtgcn_tensor::{clip_grad_norm, init, Adam, Optimizer, ParamId, ParamStore, Tape, Tensor, Var};
-use std::time::Instant;
+use rtgcn_tensor::{clip_grad_norm, init, Optimizer, ParamId, ParamStore, Tape, Tensor, Var};
 
 /// A-LSTM configuration.
 #[derive(Clone, Debug)]
@@ -79,6 +78,7 @@ impl ALstm {
     /// Encode a window into the latent `(N, 2H)`.
     fn latent(&self, tape: &mut Tape, x: &Tensor) -> Var {
         let n = x.dims()[1];
+        let _temporal = rtgcn_telemetry::span("temporal");
         let xs = split_window(tape, x);
         let hs = self.cell.encode(tape, &self.store, &xs, n);
         // Attention scores per step: s_t = vᵀ tanh(W h_t + b) → (N, 1).
@@ -147,52 +147,57 @@ impl StockRanker for ALstm {
     }
 
     fn fit(&mut self, ds: &StockDataset) -> FitReport {
-        let t0 = Instant::now();
-        let mut opt = Adam::new(self.cfg.lr, 1e-4);
-        let days = ds.train_end_days(self.cfg.t_steps);
-        let mut epoch_losses = Vec::new();
-        for _ in 0..self.cfg.epochs {
-            let mut acc = 0.0f64;
-            for &day in &days {
-                let s = ds.sample(day, self.cfg.t_steps, self.cfg.n_features);
-                let labels = self.labels(&s.y);
+        let plan = FitPlan {
+            name: self.name(),
+            epochs: self.cfg.epochs,
+            t_steps: self.cfg.t_steps,
+            n_features: self.cfg.n_features,
+            lr: self.cfg.lr,
+            l2: 1e-4,
+            abort_on_divergence: false,
+        };
+        fit_epochs(
+            self,
+            ds,
+            plan,
+            |m, opt, _, _, s| {
+                let labels = m.labels(&s.y);
                 // Clean pass.
                 let mut tape = Tape::new();
-                let e = self.latent(&mut tape, &s.x);
-                let logits = self.logits_from_latent(&mut tape, e);
+                let e = m.latent(&mut tape, &s.x);
+                let logits = m.logits_from_latent(&mut tape, e);
                 let loss = tape.cross_entropy(logits, &labels);
-                acc += tape.value(loss).item() as f64;
+                let loss_val = tape.value(loss).item();
+                let backward = rtgcn_telemetry::span("backward");
                 tape.backward(loss);
                 let e_grad = tape.grad(e).cloned();
                 let e_val = tape.value(e).clone();
-                self.store.absorb_grads(&tape);
+                m.store.absorb_grads(&tape);
                 // Adversarial pass on the perturbed latent.
                 if let Some(g) = e_grad {
                     let norm = g.norm().max(1e-8);
-                    let scale = self.cfg.epsilon / norm;
+                    let scale = m.cfg.epsilon / norm;
                     let mut adv = e_val;
                     for (a, &gv) in adv.data_mut().iter_mut().zip(g.data()) {
                         *a += scale * gv;
                     }
                     let mut tape2 = Tape::new();
                     let e_adv = tape2.constant(adv);
-                    let logits2 = self.logits_from_latent(&mut tape2, e_adv);
+                    let logits2 = m.logits_from_latent(&mut tape2, e_adv);
                     let loss2 = tape2.cross_entropy(logits2, &labels);
-                    let weighted = tape2.scale(loss2, self.cfg.beta);
+                    let weighted = tape2.scale(loss2, m.cfg.beta);
                     tape2.backward(weighted);
-                    self.store.absorb_grads(&tape2);
+                    m.store.absorb_grads(&tape2);
                 }
-                clip_grad_norm(&mut self.store, 5.0);
-                opt.step(&mut self.store);
-            }
-            epoch_losses.push((acc / days.len().max(1) as f64) as f32);
-        }
-        FitReport {
-            train_secs: t0.elapsed().as_secs_f64(),
-            final_loss: epoch_losses.last().copied().unwrap_or(f32::NAN),
-            epoch_losses,
-            ..FitReport::default()
-        }
+                drop(backward);
+                // One clip and step over the gradients of both tapes.
+                let _optim = rtgcn_telemetry::span("optim");
+                let grad_norm = clip_grad_norm(&mut m.store, 5.0);
+                opt.step(&mut m.store);
+                StepStats { loss: loss_val, mse: 0.0, rank: 0.0, grad_norm }
+            },
+            |m| m.store.value_norm(),
+        )
     }
 
     fn scores_for_day(&mut self, ds: &StockDataset, end_day: usize) -> Vec<f32> {

@@ -11,13 +11,13 @@
 //! `Q(buy) − Q(hold)` (Table IV lists DQN under RL with an MRR, so it ranks).
 
 use crate::mlp::Mlp;
+use crate::recurrent::optimise_step;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rtgcn_core::{FitReport, StockRanker};
+use rtgcn_core::{fit_epochs, FitPlan, FitReport, StepStats, StockRanker};
 use rtgcn_market::StockDataset;
-use rtgcn_tensor::{clip_grad_norm, init, Adam, Optimizer, ParamStore, Tape, Tensor};
-use std::time::Instant;
+use rtgcn_tensor::{init, Adam, ParamStore, Tape, Tensor};
 
 /// DQN configuration.
 #[derive(Clone, Debug)]
@@ -108,9 +108,11 @@ impl Dqn {
         self.qnet.forward(tape, &self.store, x)
     }
 
-    fn learn_minibatch(&mut self, opt: &mut Adam) -> f32 {
+    /// One replay minibatch step. Returns `(loss, pre-clip grad norm)`,
+    /// `(0.0, 0.0)` while the buffer is shorter than a batch.
+    fn learn_minibatch(&mut self, opt: &mut Adam) -> (f32, f32) {
         if self.replay.len() < self.cfg.batch {
-            return 0.0;
+            return (0.0, 0.0);
         }
         let idx: Vec<usize> = {
             let mut all: Vec<usize> = (0..self.replay.len()).collect();
@@ -130,12 +132,7 @@ impl Dqn {
             *target.at_mut(&[row, t.action]) = t.reward;
         }
         let loss = tape.mse(q, &target);
-        let out = tape.value(loss).item();
-        tape.backward(loss);
-        self.store.absorb_grads(&tape);
-        clip_grad_norm(&mut self.store, 5.0);
-        opt.step(&mut self.store);
-        out
+        optimise_step(&mut tape, loss, &mut self.store, opt, 5.0)
     }
 }
 
@@ -145,56 +142,55 @@ impl StockRanker for Dqn {
     }
 
     fn fit(&mut self, ds: &StockDataset) -> FitReport {
-        let t0 = Instant::now();
-        let mut opt = Adam::new(self.cfg.lr, 1e-5);
-        let days = ds.train_end_days(self.cfg.t_steps);
+        let plan = FitPlan {
+            name: self.name(),
+            epochs: self.cfg.epochs,
+            t_steps: self.cfg.t_steps,
+            n_features: self.cfg.n_features,
+            lr: self.cfg.lr,
+            l2: 1e-5,
+            abort_on_divergence: false,
+        };
         let mut eps = self.cfg.eps_start;
-        let mut epoch_losses = Vec::new();
-        for _ in 0..self.cfg.epochs {
-            let mut acc = 0.0f64;
-            let mut batches = 0usize;
-            for &day in &days {
-                let s = ds.sample(day, self.cfg.t_steps, self.cfg.n_features);
-                let states = self.states(&s.x);
+        fit_epochs(
+            self,
+            ds,
+            plan,
+            |m, opt, _, day, s| {
+                let states = m.states(&s.x);
                 // ε-greedy action per stock (greedy needs current Q values).
                 let greedy: Vec<usize> = {
                     let mut tape = Tape::new();
-                    let q = self.q_values(&mut tape, &states);
+                    let q = m.q_values(&mut tape, &states);
                     let qv = tape.value(q);
-                    self.store.clear_bindings();
+                    m.store.clear_bindings();
                     (0..states.len())
                         .map(|i| if qv.at(&[i, 1]) > qv.at(&[i, 0]) { 1 } else { 0 })
                         .collect()
                 };
                 for (i, state) in states.into_iter().enumerate() {
-                    let action = if self.rng.gen::<f32>() < eps {
-                        self.rng.gen_range(0..2)
+                    let action = if m.rng.gen::<f32>() < eps {
+                        m.rng.gen_range(0..2)
                     } else {
                         greedy[i]
                     };
                     let reward = if action == 1 {
-                        ds.realized_return(day, i) * self.cfg.reward_scale
+                        ds.realized_return(day, i) * m.cfg.reward_scale
                     } else {
                         0.0
                     };
-                    if self.replay.len() >= self.cfg.replay {
-                        let evict = self.rng.gen_range(0..self.replay.len());
-                        self.replay.swap_remove(evict);
+                    if m.replay.len() >= m.cfg.replay {
+                        let evict = m.rng.gen_range(0..m.replay.len());
+                        m.replay.swap_remove(evict);
                     }
-                    self.replay.push(Transition { state, action, reward });
+                    m.replay.push(Transition { state, action, reward });
                 }
-                acc += self.learn_minibatch(&mut opt) as f64;
-                batches += 1;
-                eps = (eps * self.cfg.eps_decay).max(self.cfg.eps_end);
-            }
-            epoch_losses.push((acc / batches.max(1) as f64) as f32);
-        }
-        FitReport {
-            train_secs: t0.elapsed().as_secs_f64(),
-            final_loss: epoch_losses.last().copied().unwrap_or(f32::NAN),
-            epoch_losses,
-            ..FitReport::default()
-        }
+                let (loss, grad_norm) = m.learn_minibatch(opt);
+                eps = (eps * m.cfg.eps_decay).max(m.cfg.eps_end);
+                StepStats { loss, mse: loss, rank: 0.0, grad_norm }
+            },
+            |m| m.store.value_norm(),
+        )
     }
 
     fn scores_for_day(&mut self, ds: &StockDataset, end_day: usize) -> Vec<f32> {

@@ -5,15 +5,12 @@
 //! node features only, *ignoring the multi-hot relation vectors* — exactly
 //! the deficiency the paper attributes to RT-GAT's weaker results.
 
+use crate::recurrent::optimise_step;
 use rtgcn_core::layers::TemporalConvBlock;
-use rtgcn_core::{FitReport, StockRanker};
+use rtgcn_core::{fit_epochs, FitPlan, FitReport, StepStats, StockRanker};
 use rtgcn_graph::RelationTensor;
 use rtgcn_market::{RelationKind, StockDataset};
-use rtgcn_tensor::{
-    clip_grad_norm, init, Adam, ConvSpec, CsrEdges, Edges, Optimizer, ParamId, ParamStore, Tape,
-    Tensor, Var,
-};
-use std::time::Instant;
+use rtgcn_tensor::{init, ConvSpec, CsrEdges, Edges, ParamId, ParamStore, Tape, Tensor, Var};
 
 /// RT-GAT configuration (mirrors `RtGcnConfig` where applicable).
 #[derive(Clone, Debug)]
@@ -182,37 +179,28 @@ impl StockRanker for RtGat {
     fn fit(&mut self, ds: &StockDataset) -> FitReport {
         let relations = ds.relations(self.cfg.relation_kind);
         self.ensure_built(&relations);
-        let t0 = Instant::now();
-        let mut opt = Adam::new(self.cfg.lr, 1e-4);
-        let days = ds.train_end_days(self.cfg.t_steps);
-        let mut epoch_losses = Vec::new();
-        let _fit = rtgcn_telemetry::span("fit");
-        for _ in 0..self.cfg.epochs {
-            let _epoch = rtgcn_telemetry::span("epoch");
-            let mut acc = 0.0f64;
-            for &day in &days {
-                let s = ds.sample(day, self.cfg.t_steps, self.cfg.n_features);
+        let plan = FitPlan {
+            name: self.name(),
+            epochs: self.cfg.epochs,
+            t_steps: self.cfg.t_steps,
+            n_features: self.cfg.n_features,
+            lr: self.cfg.lr,
+            l2: 1e-4,
+            abort_on_divergence: false,
+        };
+        fit_epochs(
+            self,
+            ds,
+            plan,
+            |m, opt, _, _, s| {
                 let mut tape = Tape::new();
-                let pred = self.forward(&mut tape, &s.x, true);
-                let loss = tape.combined_rank_loss(pred, &s.y, self.cfg.alpha);
-                acc += tape.value(loss).item() as f64;
-                {
-                    let _t = rtgcn_telemetry::span("backward");
-                    tape.backward(loss);
-                    self.store.absorb_grads(&tape);
-                }
-                let _t = rtgcn_telemetry::span("optim");
-                clip_grad_norm(&mut self.store, 5.0);
-                opt.step(&mut self.store);
-            }
-            epoch_losses.push((acc / days.len().max(1) as f64) as f32);
-        }
-        FitReport {
-            train_secs: t0.elapsed().as_secs_f64(),
-            final_loss: epoch_losses.last().copied().unwrap_or(f32::NAN),
-            epoch_losses,
-            ..FitReport::default()
-        }
+                let pred = m.forward(&mut tape, &s.x, true);
+                let (loss, mse, rank) = tape.combined_rank_loss_parts(pred, &s.y, m.cfg.alpha);
+                let (loss, grad_norm) = optimise_step(&mut tape, loss, &mut m.store, opt, 5.0);
+                StepStats { loss, mse, rank, grad_norm }
+            },
+            |m| m.store.value_norm(),
+        )
     }
 
     fn scores_for_day(&mut self, ds: &StockDataset, end_day: usize) -> Vec<f32> {

@@ -17,13 +17,10 @@
 //! Ranking score = actor output.
 
 use crate::mlp::Mlp;
-use crate::recurrent::{split_window, GruCell};
-use rtgcn_core::{FitReport, StockRanker};
+use crate::recurrent::{optimise_step, split_window, GruCell};
+use rtgcn_core::{fit_epochs, FitPlan, FitReport, StepStats, StockRanker};
 use rtgcn_market::StockDataset;
-use rtgcn_tensor::{
-    clip_grad_norm, init, Adam, Optimizer, ParamId, ParamStore, Tape, Tensor, Var,
-};
-use std::time::Instant;
+use rtgcn_tensor::{init, Adam, ParamId, ParamStore, Tape, Tensor, Var};
 
 /// iRDPG configuration.
 #[derive(Clone, Debug)]
@@ -80,8 +77,10 @@ impl Irdpg {
     /// Encode states `(N, H)` and actor actions `(N, 1)` in one tape.
     fn encode_and_act(&self, tape: &mut Tape, x: &Tensor) -> (Var, Var) {
         let n = x.dims()[1];
+        let temporal = rtgcn_telemetry::span("temporal");
         let xs = split_window(tape, x);
         let state = self.encoder.encode_last(tape, &self.actor_store, &xs, n);
+        drop(temporal);
         let w = self.actor_store.bind(tape, self.actor_w);
         let b = self.actor_store.bind(tape, self.actor_b);
         let pre = tape.linear(state, w, b);
@@ -124,65 +123,61 @@ impl StockRanker for Irdpg {
     }
 
     fn fit(&mut self, ds: &StockDataset) -> FitReport {
-        let t0 = Instant::now();
-        let mut actor_opt = Adam::new(self.cfg.lr, 1e-5);
+        let plan = FitPlan {
+            name: self.name(),
+            epochs: self.cfg.epochs,
+            t_steps: self.cfg.t_steps,
+            n_features: self.cfg.n_features,
+            lr: self.cfg.lr,
+            l2: 1e-5,
+            abort_on_divergence: false,
+        };
+        // The loop's optimiser steps the actor; the critic keeps its own.
         let mut critic_opt = Adam::new(self.cfg.lr, 1e-5);
-        let days = ds.train_end_days(self.cfg.t_steps);
-        let mut epoch_losses = Vec::new();
-        for epoch in 0..self.cfg.epochs {
-            let anneal = 1.0 - epoch as f32 / self.cfg.epochs.max(1) as f32;
-            let bc_w = self.cfg.bc_weight * anneal;
-            let mut acc = 0.0f64;
-            for &day in &days {
-                let s = ds.sample(day, self.cfg.t_steps, self.cfg.n_features);
-                let n = ds.n_stocks();
+        let n = ds.n_stocks();
+        fit_epochs(
+            self,
+            ds,
+            plan,
+            |m, actor_opt, epoch, _, s| {
+                let anneal = 1.0 - epoch as f32 / m.cfg.epochs.max(1) as f32;
+                let bc_w = m.cfg.bc_weight * anneal;
                 // Pass 1: actor BC + DPG (critic frozen).
                 let mut tape = Tape::new();
-                let (state, action) = self.encode_and_act(&mut tape, &s.x);
+                let (state, action) = m.encode_and_act(&mut tape, &s.x);
                 let demo = Tensor::new(
                     [n, 1],
                     s.y.data().iter().map(|&r| if r > 0.0 { 1.0 } else { -1.0 }).collect(),
                 );
                 let bc = tape.mse(action, &demo);
                 let bc_scaled = tape.scale(bc, bc_w);
-                let q = self.critic_q(&mut tape, state, action, true);
+                let q = m.critic_q(&mut tape, state, action, true);
                 let q_mean = tape.mean_all(q);
                 let neg_q = tape.scale(q_mean, -0.1);
                 let actor_loss = tape.add(bc_scaled, neg_q);
-                acc += tape.value(actor_loss).item() as f64;
-                tape.backward(actor_loss);
-                self.actor_store.absorb_grads(&tape);
-                clip_grad_norm(&mut self.actor_store, 5.0);
-                actor_opt.step(&mut self.actor_store);
-                self.critic_store.clear_bindings();
+                let (loss, grad_norm) =
+                    optimise_step(&mut tape, actor_loss, &mut m.actor_store, actor_opt, 5.0);
+                m.critic_store.clear_bindings();
                 // Pass 2: critic TD regression with the taken actions.
                 let mut tape2 = Tape::new();
-                let (state2, action2) = self.encode_and_act(&mut tape2, &s.x);
+                let (state2, action2) = m.encode_and_act(&mut tape2, &s.x);
                 let a_val = tape2.value(action2).clone();
                 let rewards = Tensor::new(
                     [n, 1],
                     s.y.data()
                         .iter()
                         .zip(a_val.data())
-                        .map(|(&r, &a)| a * r * self.cfg.reward_scale)
+                        .map(|(&r, &a)| a * r * m.cfg.reward_scale)
                         .collect(),
                 );
-                let q2 = self.critic_q(&mut tape2, state2, action2, false);
+                let q2 = m.critic_q(&mut tape2, state2, action2, false);
                 let critic_loss = tape2.mse(q2, &rewards);
-                tape2.backward(critic_loss);
-                self.critic_store.absorb_grads(&tape2);
-                self.actor_store.clear_bindings();
-                clip_grad_norm(&mut self.critic_store, 5.0);
-                critic_opt.step(&mut self.critic_store);
-            }
-            epoch_losses.push((acc / days.len().max(1) as f64) as f32);
-        }
-        FitReport {
-            train_secs: t0.elapsed().as_secs_f64(),
-            final_loss: epoch_losses.last().copied().unwrap_or(f32::NAN),
-            epoch_losses,
-            ..FitReport::default()
-        }
+                optimise_step(&mut tape2, critic_loss, &mut m.critic_store, &mut critic_opt, 5.0);
+                m.actor_store.clear_bindings();
+                StepStats { loss, mse: 0.0, rank: 0.0, grad_norm }
+            },
+            |m| m.actor_store.value_norm(),
+        )
     }
 
     fn scores_for_day(&mut self, ds: &StockDataset, end_day: usize) -> Vec<f32> {

@@ -15,13 +15,11 @@
 
 use crate::lstm_rankers::BASELINE_L2;
 use crate::recurrent::{optimise_step, split_window, LstmCell};
-use rtgcn_core::{FitReport, StockRanker};
+use rtgcn_core::{fit_epochs, FitPlan, FitReport, StepStats, StockRanker};
 use rtgcn_graph::RelationTensor;
 use rtgcn_market::{RelationKind, StockDataset};
-use rtgcn_telemetry::health::{HealthConfig, HealthMonitor};
-use rtgcn_tensor::{init, Adam, CsrEdges, ParamId, ParamStore, Tape, Tensor, Var};
+use rtgcn_tensor::{init, CsrEdges, ParamId, ParamStore, Tape, Tensor, Var};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Which relation-strength function RSR uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -166,6 +164,15 @@ impl Rsr {
         let out = tape.linear(feats, w, b);
         tape.reshape(out, [n])
     }
+
+    /// Inference scores for one `(T, N, D)` window (the model must be built).
+    fn score(&self, x: &Tensor) -> Vec<f32> {
+        let mut tape = Tape::new();
+        let pred = self.forward(&mut tape, x);
+        let out = tape.value(pred).data().to_vec();
+        self.store.clear_bindings();
+        out
+    }
 }
 
 impl StockRanker for Rsr {
@@ -179,58 +186,35 @@ impl StockRanker for Rsr {
     fn fit(&mut self, ds: &StockDataset) -> FitReport {
         let relations = ds.relations(self.cfg.relation_kind);
         self.ensure_built(&relations);
-        let t0 = Instant::now();
-        let mut opt = Adam::new(self.cfg.lr, BASELINE_L2);
-        let days = ds.train_end_days(self.cfg.t_steps);
-        let mut epoch_losses = Vec::new();
-        let mut epoch_secs = Vec::new();
-        let mut monitor = HealthMonitor::new(
-            &self.name(),
-            HealthConfig { abort_on_divergence: self.cfg.abort_on_divergence, ..HealthConfig::default() },
-        );
-        let _fit = rtgcn_telemetry::span("fit");
-        for _ in 0..self.cfg.epochs {
-            let _epoch = rtgcn_telemetry::span("epoch");
-            let e0 = Instant::now();
-            let mut acc = 0.0f64;
-            for &day in &days {
-                let s = ds.sample(day, self.cfg.t_steps, self.cfg.n_features);
+        let plan = FitPlan {
+            name: self.name(),
+            epochs: self.cfg.epochs,
+            t_steps: self.cfg.t_steps,
+            n_features: self.cfg.n_features,
+            lr: self.cfg.lr,
+            l2: BASELINE_L2,
+            abort_on_divergence: self.cfg.abort_on_divergence,
+        };
+        fit_epochs(
+            self,
+            ds,
+            plan,
+            |m, opt, _, _, s| {
                 let mut tape = Tape::new();
-                let pred = self.forward(&mut tape, &s.x);
-                let (loss, mse, rank) =
-                    tape.combined_rank_loss_parts(pred, &s.y, self.cfg.alpha);
-                let (lv, gnorm) = optimise_step(&mut tape, loss, &mut self.store, &mut opt, 5.0);
-                acc += lv as f64;
-                monitor.observe_step(lv, mse, rank, gnorm);
-            }
-            epoch_losses.push(if days.is_empty() { f32::NAN } else { (acc / days.len() as f64) as f32 });
-            epoch_secs.push(e0.elapsed().as_secs_f64());
-            monitor.end_epoch(self.store.value_norm(), BASELINE_L2);
-            if monitor.should_abort() {
-                break;
-            }
-        }
-        let (health, epoch_health) = monitor.finish();
-        FitReport {
-            train_secs: t0.elapsed().as_secs_f64(),
-            final_loss: epoch_losses.last().copied().unwrap_or(f32::NAN),
-            epoch_losses,
-            epoch_secs,
-            health,
-            epoch_health,
-            ..FitReport::default()
-        }
+                let pred = m.forward(&mut tape, &s.x);
+                let (loss, mse, rank) = tape.combined_rank_loss_parts(pred, &s.y, m.cfg.alpha);
+                let (loss, grad_norm) = optimise_step(&mut tape, loss, &mut m.store, opt, 5.0);
+                StepStats { loss, mse, rank, grad_norm }
+            },
+            |m| m.store.value_norm(),
+        )
     }
 
     fn scores_for_day(&mut self, ds: &StockDataset, end_day: usize) -> Vec<f32> {
         let relations = ds.relations(self.cfg.relation_kind);
         self.ensure_built(&relations);
         let s = ds.sample(end_day, self.cfg.t_steps, self.cfg.n_features);
-        let mut tape = Tape::new();
-        let pred = self.forward(&mut tape, &s.x);
-        let out = tape.value(pred).data().to_vec();
-        self.store.clear_bindings();
-        out
+        self.score(&s.x)
     }
 
     fn prepare(&mut self, ds: &StockDataset) {
@@ -240,11 +224,7 @@ impl StockRanker for Rsr {
 
     fn score_window(&mut self, x: &Tensor) -> Option<Vec<f32>> {
         self.cell.as_ref()?;
-        let mut tape = Tape::new();
-        let pred = self.forward(&mut tape, x);
-        let out = tape.value(pred).data().to_vec();
-        self.store.clear_bindings();
-        Some(out)
+        Some(self.score(x))
     }
 
     fn param_store(&self) -> Option<&ParamStore> {

@@ -16,11 +16,10 @@
 //! with frequencies `ω_k = 2πk/K` and LSTM-style gates. Trained with MSE on
 //! the next-day return ratio (Table IV lists SFM under REG).
 
-use crate::recurrent::split_window;
-use rtgcn_core::{FitReport, StockRanker};
+use crate::recurrent::{optimise_step, split_window};
+use rtgcn_core::{fit_epochs, FitPlan, FitReport, StepStats, StockRanker};
 use rtgcn_market::StockDataset;
-use rtgcn_tensor::{clip_grad_norm, init, Adam, Optimizer, ParamId, ParamStore, Tape, Tensor, Var};
-use std::time::Instant;
+use rtgcn_tensor::{init, ParamId, ParamStore, Tape, Tensor, Var};
 
 /// SFM configuration.
 #[derive(Clone, Debug)]
@@ -96,6 +95,7 @@ impl Sfm {
     fn forward(&self, tape: &mut Tape, x: &Tensor) -> Var {
         let n = x.dims()[1];
         let (hdim, k) = (self.cfg.hidden, self.cfg.freqs);
+        let temporal = rtgcn_telemetry::span("temporal");
         let xs = split_window(tape, x);
         let mut h = tape.constant(Tensor::zeros([n, hdim]));
         let mut re_s = tape.constant(Tensor::zeros([n, hdim, k]));
@@ -148,6 +148,7 @@ impl Sfm {
             let c_act = tape.tanh(c_t);
             h = tape.mul(og, c_act);
         }
+        drop(temporal);
         let w = self.store.bind(tape, self.w_out);
         let b = self.store.bind(tape, self.b_out);
         let out = tape.linear(h, w, b);
@@ -161,31 +162,28 @@ impl StockRanker for Sfm {
     }
 
     fn fit(&mut self, ds: &StockDataset) -> FitReport {
-        let t0 = Instant::now();
-        let mut opt = Adam::new(self.cfg.lr, 1e-4);
-        let days = ds.train_end_days(self.cfg.t_steps);
-        let mut epoch_losses = Vec::new();
-        for _ in 0..self.cfg.epochs {
-            let mut acc = 0.0f64;
-            for &day in &days {
-                let s = ds.sample(day, self.cfg.t_steps, self.cfg.n_features);
+        let plan = FitPlan {
+            name: self.name(),
+            epochs: self.cfg.epochs,
+            t_steps: self.cfg.t_steps,
+            n_features: self.cfg.n_features,
+            lr: self.cfg.lr,
+            l2: 1e-4,
+            abort_on_divergence: false,
+        };
+        fit_epochs(
+            self,
+            ds,
+            plan,
+            |m, opt, _, _, s| {
                 let mut tape = Tape::new();
-                let pred = self.forward(&mut tape, &s.x);
+                let pred = m.forward(&mut tape, &s.x);
                 let loss = tape.mse(pred, &s.y);
-                acc += tape.value(loss).item() as f64;
-                tape.backward(loss);
-                self.store.absorb_grads(&tape);
-                clip_grad_norm(&mut self.store, 5.0);
-                opt.step(&mut self.store);
-            }
-            epoch_losses.push((acc / days.len().max(1) as f64) as f32);
-        }
-        FitReport {
-            train_secs: t0.elapsed().as_secs_f64(),
-            final_loss: epoch_losses.last().copied().unwrap_or(f32::NAN),
-            epoch_losses,
-            ..FitReport::default()
-        }
+                let (loss, grad_norm) = optimise_step(&mut tape, loss, &mut m.store, opt, 5.0);
+                StepStats { loss, mse: loss, rank: 0.0, grad_norm }
+            },
+            |m| m.store.value_norm(),
+        )
     }
 
     fn scores_for_day(&mut self, ds: &StockDataset, end_day: usize) -> Vec<f32> {

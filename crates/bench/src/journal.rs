@@ -255,8 +255,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("jobs-torn.jsonl");
         let good = serde_json::to_string(&JournalRecord::ok("c", "M", &sample_run(), 1)).unwrap();
-        std::fs::write(&path, format!("{good}\nnot json\n{}", &good[..good.len() / 2])).unwrap();
-        assert_eq!(load(&path).len(), 1);
+        // Journals written before `FitReport::phase_secs` was removed carry
+        // that object; it must be skipped, not fail the record.
+        let legacy = good.replacen(
+            "\"fit\":{",
+            "\"fit\":{\"phase_secs\":{\"relational\":0.1,\"temporal\":0.2,\"loss\":0.01,\
+             \"backward\":0.3,\"optim\":0.02},",
+            1,
+        );
+        assert_ne!(legacy, good);
+        std::fs::write(&path, format!("{good}\nnot json\n{legacy}\n{}", &good[..good.len() / 2]))
+            .unwrap();
+        assert_eq!(load(&path).len(), 2);
         assert!(load(Path::new("/nonexistent/jobs.jsonl")).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -193,9 +193,6 @@ pub fn model_snapshot(model: &str, events: &[Event]) -> ModelSnapshot {
     for s in &spans {
         if s.path.ends_with("fit/epoch") && s.count > 0 {
             epoch_secs_mean = s.total_ns as f64 / s.count as f64 / 1e9;
-            if epochs == 0 {
-                epochs = s.count;
-            }
         }
     }
 

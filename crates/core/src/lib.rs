@@ -11,7 +11,8 @@
 //!   causal temporal convolution block;
 //! - [`model`] — the end-to-end [`model::RtGcn`] (Figure 3);
 //! - [`ranker`] — the [`ranker::StockRanker`] trait every evaluated model
-//!   implements, with RT-GCN's implementation.
+//!   implements, the [`ranker::fit_epochs`] loop every tape-trained model
+//!   fits through, and RT-GCN's implementation.
 //!
 //! ```no_run
 //! use rtgcn_core::{RtGcn, RtGcnConfig, Strategy, StockRanker};
@@ -35,6 +36,6 @@ pub mod strategy;
 pub use checkpoint::{Checkpoint, CheckpointError, DataSpec};
 pub use config::{RtGcnConfig, Strategy};
 pub use model::{RtGcn, StepStats};
-pub use ranker::{FitReport, PhaseSecs, StockRanker};
+pub use ranker::{fit_epochs, FitPlan, FitReport, StockRanker};
 pub use refit::{RefitPolicy, RefitReason};
 pub use strategy::StrategyCtx;

@@ -5,7 +5,6 @@
 
 use crate::config::RtGcnConfig;
 use crate::layers::{RelationalConv, TemporalConvBlock};
-use crate::ranker::PhaseSecs;
 use crate::strategy::StrategyCtx;
 use rand::rngs::StdRng;
 use rtgcn_graph::RelationTensor;
@@ -14,38 +13,15 @@ use rtgcn_tensor::{
 };
 use std::time::Instant;
 
-/// Nanosecond accumulators behind [`PhaseSecs`]. Always ticking (plain
-/// `Instant` reads, independent of the telemetry level) so `FitReport`
-/// carries a breakdown even with `RTGCN_LOG=off`.
-#[derive(Clone, Copy, Default)]
-struct PhaseClock {
-    relational_ns: u64,
-    temporal_ns: u64,
-    loss_ns: u64,
-    backward_ns: u64,
-    optim_ns: u64,
-}
-
-impl PhaseClock {
-    fn secs(&self) -> PhaseSecs {
-        let s = |ns: u64| ns as f64 / 1e9;
-        PhaseSecs {
-            relational: s(self.relational_ns),
-            temporal: s(self.temporal_ns),
-            loss: s(self.loss_ns),
-            backward: s(self.backward_ns),
-            optim: s(self.optim_ns),
-        }
-    }
-}
-
 fn elapsed_ns(t: Instant) -> u64 {
     t.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Per-step diagnostics from [`RtGcn::train_step_stats`]: the combined loss,
-/// its MSE and pairwise-ranking components (Eq. 9), and the pre-clip global
-/// gradient L2 norm — the inputs of the training-health monitor.
+/// Per-step diagnostics of one optimisation step, as every
+/// [`fit_epochs`](crate::ranker::fit_epochs) step returns them: the loss, its
+/// MSE and pairwise-ranking components (Eq. 9; 0.0 where a model has no such
+/// term), and the pre-clip global gradient L2 norm — the inputs of the
+/// training-health monitor.
 #[derive(Clone, Copy, Debug)]
 pub struct StepStats {
     pub loss: f32,
@@ -65,7 +41,6 @@ pub struct RtGcn {
     fc_b: ParamId,
     rng: StdRng,
     n_stocks: usize,
-    phases: PhaseClock,
 }
 
 impl RtGcn {
@@ -137,22 +112,11 @@ impl RtGcn {
             fc_b,
             rng,
             n_stocks: relations.num_stocks(),
-            phases: PhaseClock::default(),
         }
     }
 
     pub fn n_stocks(&self) -> usize {
         self.n_stocks
-    }
-
-    /// Zero the per-phase wall-clock accumulators (start of a fit).
-    pub fn reset_phase_clock(&mut self) {
-        self.phases = PhaseClock::default();
-    }
-
-    /// Per-phase wall-clock breakdown accumulated since the last reset.
-    pub fn phase_secs(&self) -> PhaseSecs {
-        self.phases.secs()
     }
 
     /// Trainable scalar count (for the speed-comparison context).
@@ -182,9 +146,7 @@ impl RtGcn {
                 let _span = rtgcn_telemetry::span("relational");
                 let t = Instant::now();
                 cur = self.rel_convs[rel_i].forward(tape, &self.store, &self.ctx, cur, training);
-                let dt = elapsed_ns(t);
-                self.phases.relational_ns += dt;
-                rtgcn_telemetry::record_ns("kernel.gcn.relational_ns", dt);
+                rtgcn_telemetry::record_ns("kernel.gcn.relational_ns", elapsed_ns(t));
                 rel_i += 1;
             }
             if self.config.use_temporal {
@@ -195,9 +157,7 @@ impl RtGcn {
                     self.tcn_blocks[tcn_i].forward(tape, &self.store, nct, training, &mut self.rng);
                 tcn_i += 1;
                 cur = tape.permute3(out, [2, 0, 1]); // (T', N, C)
-                let dt = elapsed_ns(t);
-                self.phases.temporal_ns += dt;
-                rtgcn_telemetry::record_ns("kernel.gcn.temporal_ns", dt);
+                rtgcn_telemetry::record_ns("kernel.gcn.temporal_ns", elapsed_ns(t));
             }
         }
         // Average pooling over the remaining temporal dimension (stride = H).
@@ -274,25 +234,18 @@ impl RtGcn {
         let scores = self.forward(&mut tape, x, true);
         let (loss, loss_val, mse, rank) = {
             let _span = rtgcn_telemetry::span("loss");
-            let t = Instant::now();
             let (loss, mse, rank) = tape.combined_rank_loss_parts(scores, y, self.config.alpha);
-            let loss_val = tape.value(loss).item();
-            self.phases.loss_ns += elapsed_ns(t);
-            (loss, loss_val, mse, rank)
+            (loss, tape.value(loss).item(), mse, rank)
         };
         {
             let _span = rtgcn_telemetry::span("backward");
-            let t = Instant::now();
             tape.backward(loss);
             self.store.absorb_grads(&tape);
-            self.phases.backward_ns += elapsed_ns(t);
         }
         let grad_norm = {
             let _span = rtgcn_telemetry::span("optim");
-            let t = Instant::now();
             let grad_norm = clip_grad_norm(&mut self.store, 5.0);
             opt.step(&mut self.store);
-            self.phases.optim_ns += elapsed_ns(t);
             grad_norm
         };
         StepStats { loss: loss_val, mse, rank, grad_norm }

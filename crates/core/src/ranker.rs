@@ -1,37 +1,15 @@
-//! The common interface every model in the evaluation implements, plus the
-//! RT-GCN implementation. Harnesses (Tables IV–VII, Figures 5–8) drive
-//! models exclusively through [`StockRanker`], so RT-GCN and all eleven
-//! baselines are interchangeable.
+//! The common interface every model in the evaluation implements, the one
+//! epoch loop every tape-trained model fits through, plus the RT-GCN
+//! implementation. Harnesses (Tables IV–VII, Figures 5–8) drive models
+//! exclusively through [`StockRanker`], so RT-GCN and all eleven baselines
+//! are interchangeable.
 
-use crate::model::RtGcn;
-use rtgcn_market::StockDataset;
+use crate::model::{RtGcn, StepStats};
+use rtgcn_market::{Sample, StockDataset};
 use rtgcn_telemetry::health::{EpochHealth, HealthConfig, HealthMonitor, HealthVerdict};
 use rtgcn_tensor::Adam;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-
-/// Cumulative wall-clock seconds spent in each training phase across all
-/// epochs of a fit. RT-GCN fills every field; models without a comparable
-/// structure leave this at the all-zero default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct PhaseSecs {
-    /// Relational graph convolution (forward).
-    pub relational: f64,
-    /// Temporal convolution stack (forward).
-    pub temporal: f64,
-    /// Loss evaluation (combined regression + pairwise ranking).
-    pub loss: f64,
-    /// Reverse-mode sweep + gradient absorption.
-    pub backward: f64,
-    /// Gradient clipping + optimiser step.
-    pub optim: f64,
-}
-
-impl PhaseSecs {
-    pub fn total(&self) -> f64 {
-        self.relational + self.temporal + self.loss + self.backward + self.optim
-    }
-}
 
 /// Outcome of fitting a model (Figure 5's speed comparison reads the times).
 /// Serialisable so the parallel runner's job journal can round-trip
@@ -46,15 +24,103 @@ pub struct FitReport {
     pub epoch_losses: Vec<f32>,
     /// Wall-clock seconds per epoch (empty for single-shot fits).
     pub epoch_secs: Vec<f64>,
-    /// Per-phase breakdown (all-zero for models that don't report phases).
-    pub phase_secs: PhaseSecs,
-    /// Training-health verdict, worst across epochs (`Healthy` for models
-    /// that don't run the monitor — single-shot fits like ARIMA).
+    /// Training-health verdict, worst across epochs (`Healthy` for
+    /// single-shot fits like ARIMA, which run no epochs to monitor).
     pub health: HealthVerdict,
-    /// Per-epoch numerical diagnostics (empty for unmonitored fits). When
+    /// Per-epoch numerical diagnostics (empty for single-shot fits). When
     /// `abort_on_divergence` stopped the fit early this is shorter than the
     /// configured epoch budget.
     pub epoch_health: Vec<EpochHealth>,
+}
+
+/// What [`fit_epochs`] needs to know about one fit. Every field is a value
+/// the model's configuration already carries.
+#[derive(Clone, Debug)]
+pub struct FitPlan {
+    /// Display name: the health-board key and the subject of warnings.
+    pub name: String,
+    /// Epoch budget.
+    pub epochs: usize,
+    /// Window length `T` of every training sample.
+    pub t_steps: usize,
+    /// Feature count `D` of every training sample.
+    pub n_features: usize,
+    /// Adam learning rate.
+    pub lr: f32,
+    /// Adam weight decay, also the λ the health monitor reports as `λ‖θ‖²`.
+    pub l2: f32,
+    /// Stop early once the health monitor reports `Diverged`.
+    pub abort_on_divergence: bool,
+}
+
+/// The epoch loop behind every tape-trained model's [`StockRanker::fit`].
+/// The model supplies only `step(model, opt, epoch, day, sample)`, one
+/// optimisation step on one training day; the loop owns the rest: the `fit`
+/// and `fit/epoch` spans, the Adam optimiser, training-day sampling, the
+/// `fit.zero_epochs`/`fit.empty_split` warnings, per-epoch mean loss (NaN
+/// for an empty split, never a silent 0.0 that would read as a converged
+/// model) and wall time, and the [`HealthMonitor`], which reads
+/// `weight_norm(model)` after each epoch.
+pub fn fit_epochs<M>(
+    model: &mut M,
+    ds: &StockDataset,
+    plan: FitPlan,
+    mut step: impl FnMut(&mut M, &mut Adam, usize, usize, &Sample) -> StepStats,
+    weight_norm: impl Fn(&M) -> f32,
+) -> FitReport {
+    let _fit_span = rtgcn_telemetry::span("fit");
+    let t0 = Instant::now();
+    let mut opt = Adam::new(plan.lr, plan.l2);
+    let days = ds.train_end_days(plan.t_steps);
+    if plan.epochs == 0 {
+        rtgcn_telemetry::warn(
+            "fit.zero_epochs",
+            &format!("{}: fit called with epochs == 0; final_loss is NaN", plan.name),
+        );
+    }
+    if days.is_empty() && plan.epochs > 0 {
+        rtgcn_telemetry::warn(
+            "fit.empty_split",
+            &format!(
+                "{}: training split has no usable days for t_steps = {}; \
+                 epoch losses are NaN",
+                plan.name, plan.t_steps
+            ),
+        );
+    }
+    let mut monitor = HealthMonitor::new(
+        &plan.name,
+        HealthConfig { abort_on_divergence: plan.abort_on_divergence, ..HealthConfig::default() },
+    );
+    let mut epoch_losses = Vec::with_capacity(plan.epochs);
+    let mut epoch_secs = Vec::with_capacity(plan.epochs);
+    for epoch in 0..plan.epochs {
+        let _epoch_span = rtgcn_telemetry::span("epoch");
+        let e0 = Instant::now();
+        let mut acc = 0.0f64;
+        for &day in &days {
+            let s = ds.sample(day, plan.t_steps, plan.n_features);
+            let st = step(model, &mut opt, epoch, day, &s);
+            acc += st.loss as f64;
+            monitor.observe_step(st.loss, st.mse, st.rank, st.grad_norm);
+        }
+        let mean = if days.is_empty() { f32::NAN } else { (acc / days.len() as f64) as f32 };
+        epoch_losses.push(mean);
+        epoch_secs.push(e0.elapsed().as_secs_f64());
+        monitor.end_epoch(weight_norm(model), plan.l2);
+        if monitor.should_abort() {
+            break;
+        }
+    }
+    let (health, epoch_health) = monitor.finish();
+    FitReport {
+        train_secs: t0.elapsed().as_secs_f64(),
+        final_loss: epoch_losses.last().copied().unwrap_or(f32::NAN),
+        epoch_losses,
+        epoch_secs,
+        health,
+        epoch_health,
+    }
 }
 
 /// A model that ranks stocks by expected next-day return ratio.
@@ -141,67 +207,23 @@ impl StockRanker for RtGcn {
     }
 
     fn fit(&mut self, ds: &StockDataset) -> FitReport {
-        let _fit_span = rtgcn_telemetry::span("fit");
-        let t0 = Instant::now();
-        let mut opt = Adam::new(self.config.lr, self.config.lambda);
-        let days = ds.train_end_days(self.config.t_steps);
-        if self.config.epochs == 0 {
-            rtgcn_telemetry::warn(
-                "fit.zero_epochs",
-                &format!("{}: fit called with epochs == 0; final_loss is NaN", self.name()),
-            );
-        }
-        if days.is_empty() && self.config.epochs > 0 {
-            rtgcn_telemetry::warn(
-                "fit.empty_split",
-                &format!(
-                    "{}: training split has no usable days for t_steps = {}; \
-                     epoch losses are NaN",
-                    self.name(),
-                    self.config.t_steps
-                ),
-            );
-        }
-        self.reset_phase_clock();
-        let mut monitor = HealthMonitor::new(
-            &self.name(),
-            HealthConfig {
-                abort_on_divergence: self.config.abort_on_divergence,
-                ..HealthConfig::default()
-            },
-        );
-        let mut epoch_losses = Vec::with_capacity(self.config.epochs);
-        let mut epoch_secs = Vec::with_capacity(self.config.epochs);
-        for _epoch in 0..self.config.epochs {
-            let _epoch_span = rtgcn_telemetry::span("epoch");
-            let e0 = Instant::now();
-            let mut acc = 0.0f64;
-            for &day in &days {
-                let s = ds.sample(day, self.config.t_steps, self.config.n_features);
-                let st = self.train_step_stats(&s.x, &s.y, &mut opt);
-                acc += st.loss as f64;
-                monitor.observe_step(st.loss, st.mse, st.rank, st.grad_norm);
-            }
-            // An empty split yields NaN, not a silent 0.0 that would read as
-            // a perfectly converged model downstream.
-            let mean = if days.is_empty() { f32::NAN } else { (acc / days.len() as f64) as f32 };
-            epoch_losses.push(mean);
-            epoch_secs.push(e0.elapsed().as_secs_f64());
-            monitor.end_epoch(self.weight_norm(), self.config.lambda);
-            if monitor.should_abort() {
-                break;
-            }
-        }
-        let (health, epoch_health) = monitor.finish();
-        FitReport {
-            train_secs: t0.elapsed().as_secs_f64(),
-            final_loss: epoch_losses.last().copied().unwrap_or(f32::NAN),
-            epoch_losses,
-            epoch_secs,
-            phase_secs: self.phase_secs(),
-            health,
-            epoch_health,
-        }
+        let c = &self.config;
+        let plan = FitPlan {
+            name: self.name(),
+            epochs: c.epochs,
+            t_steps: c.t_steps,
+            n_features: c.n_features,
+            lr: c.lr,
+            l2: c.lambda,
+            abort_on_divergence: c.abort_on_divergence,
+        };
+        fit_epochs(
+            self,
+            ds,
+            plan,
+            |m, opt, _, _, s| m.train_step_stats(&s.x, &s.y, opt),
+            RtGcn::weight_norm,
+        )
     }
 
     fn scores_for_day(&mut self, ds: &StockDataset, end_day: usize) -> Vec<f32> {
@@ -352,25 +374,13 @@ mod tests {
     }
 
     #[test]
-    fn fit_report_carries_epoch_and_phase_timings() {
+    fn fit_report_carries_epoch_timings() {
         let ds = tiny_dataset();
         let relations = ds.relations(RelationKind::Both);
         let mut model = RtGcn::new(tiny_config(Strategy::Weighted), &relations, 3);
         let report = model.fit(&ds);
         assert_eq!(report.epoch_secs.len(), 2, "one wall-clock entry per epoch");
         assert!(report.epoch_secs.iter().all(|&s| s > 0.0));
-        let p = report.phase_secs;
-        assert!(p.relational > 0.0, "relational phase untimed");
-        assert!(p.temporal > 0.0, "temporal phase untimed");
-        assert!(p.loss > 0.0, "loss phase untimed");
-        assert!(p.backward > 0.0, "backward phase untimed");
-        assert!(p.optim > 0.0, "optimiser phase untimed");
-        assert!(
-            p.total() <= report.train_secs * 1.05,
-            "phases ({}) cannot exceed total train time ({})",
-            p.total(),
-            report.train_secs
-        );
     }
 
     #[test]

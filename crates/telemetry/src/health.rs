@@ -11,13 +11,14 @@
 //! them as `fit.*` series through [`gauge`](crate::gauge), and distils a
 //! [`HealthVerdict`].
 //!
-//! Wiring pattern (RT-GCN's fit and every trainable baseline):
+//! Wiring pattern (`rtgcn_core::ranker::fit_epochs`, the one epoch loop
+//! every trained model fits through):
 //!
 //! ```text
 //! let mut monitor = HealthMonitor::new(&name, HealthConfig::default());
 //! for epoch {
 //!     for day { monitor.observe_step(loss, mse, rank, grad_norm); }
-//!     monitor.end_epoch(store.value_norm(), lambda);
+//!     monitor.end_epoch(weight_norm, l2);
 //!     if monitor.should_abort() { break; }
 //! }
 //! let (verdict, per_epoch) = monitor.finish();

@@ -212,7 +212,7 @@ if [ "$PROFILE" = 1 ]; then
   rm -rf "$P"
   mkdir -p "$P"
   RTGCN_JOBS=1 RTGCN_TRACE="$P" RTGCN_ALLOC_STATS=1 \
-    $B/table4_baselines --logs "$P" --markets csi --seeds 1 --epochs 2 > "$P/table4_csi.txt" 2>&1
+    $B/table4_baselines --out "$P" --logs "$P" --markets csi --seeds 1 --epochs 2 > "$P/table4_csi.txt" 2>&1
   # Every model must have produced a loadable trace and a folded stack.
   ls "$P"/trace-table4_baselines-*.json > /dev/null
   ls "$P"/folded-table4_baselines-*.txt > /dev/null
@@ -230,7 +230,7 @@ if [ "$RESUME" = 1 ]; then
   rm -rf "$S"
   mkdir -p "$S"
   J="$S/jobs-table4_baselines.jsonl"
-  RTGCN_JOBS=2 $B/table4_baselines --logs "$S" --markets csi --seeds 2 --epochs 1 > "$S/first.txt" 2>&1 &
+  RTGCN_JOBS=2 $B/table4_baselines --out "$S" --logs "$S" --markets csi --seeds 2 --epochs 1 > "$S/first.txt" 2>&1 &
   PID=$!
   # Wait (up to ~5 min) for the first completed job to hit the journal, then
   # kill the harness mid-run.
@@ -245,7 +245,7 @@ if [ "$RESUME" = 1 ]; then
   wait "$PID" 2>/dev/null || true
   grep -q '"status":"ok"' "$J" || { echo "RESUME_SMOKE_FAIL: no completed job journalled before the kill" >&2; exit 4; }
   N_BEFORE=$(grep -c '"status":"ok"' "$J")
-  RTGCN_JOBS=2 $B/table4_baselines --logs "$S" --markets csi --seeds 2 --epochs 1 > "$S/second.txt" 2>&1
+  RTGCN_JOBS=2 $B/table4_baselines --out "$S" --logs "$S" --markets csi --seeds 2 --epochs 1 > "$S/second.txt" 2>&1
   grep -q 'resumed [1-9][0-9]* completed job' "$S/second.txt" \
     || { echo "RESUME_SMOKE_FAIL: rerun did not resume from the journal" >&2; exit 4; }
   echo "RESUME_SMOKE_OK (resumed $N_BEFORE pre-kill job(s))"
@@ -266,7 +266,7 @@ if [ "$VERIFY" = 1 ]; then
   while :; do
     rm -rf "$V"
     mkdir -p "$V"
-    RTGCN_JOBS=1 $B/table4_baselines --logs "$V" --markets csi --seeds 1 --epochs 2 > "$V/table4_csi.txt" 2>&1
+    RTGCN_JOBS=1 $B/table4_baselines --out "$V" --logs "$V" --markets csi --seeds 1 --epochs 2 > "$V/table4_csi.txt" 2>&1
     $B/rtgcn-report --logs "$V" --harness table4_baselines \
       --out results/BENCH_table4.verify.json --md "$V/BENCH_table4.verify.md"
     # On failure rtgcn-report names the top regressing span paths by self

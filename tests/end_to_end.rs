@@ -2,9 +2,10 @@
 //! generation through training to backtested metrics, spanning every crate.
 
 use rtgcn::baselines::{CommonConfig, ModelKind};
-use rtgcn::core::{RtGcn, RtGcnConfig, StockRanker, Strategy};
+use rtgcn::core::{FitReport, RtGcn, RtGcnConfig, StockRanker, Strategy};
 use rtgcn::eval::{backtest, Oracle, RandomRanker};
 use rtgcn::market::{Market, RelationKind, Scale, StockDataset, UniverseSpec};
+use rtgcn::telemetry as tel;
 
 fn micro_dataset(seed: u64) -> StockDataset {
     let mut spec = UniverseSpec::of(Market::Csi, Scale::Small);
@@ -59,23 +60,88 @@ fn oracle_dominates_and_random_is_baseline_floor() {
     assert!(o.irr[&1] > r.irr[&1], "oracle must beat random");
 }
 
+/// Every trained model of Tables IV and V: the Table IV baselines, STHAN-SR
+/// and RT-GCN (T), all over `common`'s window and epoch budget.
+fn roster(ds: &StockDataset, common: &CommonConfig) -> Vec<Box<dyn StockRanker>> {
+    let mut models: Vec<Box<dyn StockRanker>> = ModelKind::TABLE4
+        .into_iter()
+        .chain([ModelKind::Sthan])
+        .map(|kind| rtgcn::baselines::build(kind, common, 3))
+        .collect();
+    let gcn = RtGcnConfig {
+        t_steps: common.t_steps,
+        epochs: common.epochs,
+        ..micro_gcn_config(Strategy::TimeSensitive)
+    };
+    models.push(Box::new(RtGcn::new(gcn, &ds.relations(RelationKind::Both), 3)));
+    models
+}
+
+/// Fit `model` with fresh telemetry and return its report plus every event
+/// the fit emitted, span aggregates included.
+fn fit_recorded(model: &mut dyn StockRanker, ds: &StockDataset) -> (FitReport, Vec<tel::Event>) {
+    tel::reset();
+    tel::drain_memory_sink();
+    let fit = model.fit(ds);
+    tel::flush_aggregates();
+    let events = tel::drain_memory_sink()
+        .iter()
+        .map(|l| serde_json::from_str(l).expect("telemetry line parses as an Event"))
+        .collect();
+    (fit, events)
+}
+
+fn has_event(events: &[tel::Event], kind: &str, name: &str) -> bool {
+    events.iter().any(|e| e.kind == kind && e.name == name)
+}
+
+/// One fit contract for the whole roster: every model but the closed-form
+/// ARIMA trains through the shared epoch loop, so each reports per-epoch
+/// losses, wall times and health, and emits the same span skeleton; and an
+/// empty training split yields NaN losses plus a `fit.empty_split` warning.
 #[test]
 fn every_baseline_runs_end_to_end_on_micro_data() {
+    let _guard = tel::test_scope(tel::Level::Summary);
     let ds = micro_dataset(3);
     let common = CommonConfig {
         t_steps: 8,
         n_features: 2,
         hidden: 8,
-        epochs: 1,
+        epochs: 2,
         ..Default::default()
     };
-    for kind in ModelKind::TABLE4 {
-        let mut model = rtgcn::baselines::build(kind, &common, 3);
-        let fit = model.fit(&ds);
-        assert!(fit.train_secs >= 0.0, "{kind:?}");
+    for mut model in roster(&ds, &common) {
+        let name = model.name();
+        let (fit, events) = fit_recorded(model.as_mut(), &ds);
+        assert!(fit.train_secs >= 0.0, "{name}");
+        if name != "ARIMA" {
+            assert_eq!(fit.epoch_losses.len(), 2, "{name} epoch_losses");
+            assert_eq!(fit.epoch_secs.len(), 2, "{name} epoch_secs");
+            assert_eq!(fit.epoch_health.len(), 2, "{name} epoch_health");
+            for span in ["fit/epoch/backward", "fit/epoch/optim"] {
+                assert!(has_event(&events, "span", span), "{name} emits no {span} span");
+            }
+        }
         let out = backtest(model.as_mut(), &ds, &[1, 5], 3);
-        assert_eq!(out.mrr.is_some(), model.can_rank(), "{kind:?} MRR presence");
-        assert!(out.irr[&1].is_finite(), "{kind:?} IRR");
+        assert_eq!(out.mrr.is_some(), model.can_rank(), "{name} MRR presence");
+        assert!(out.irr[&1].is_finite(), "{name} IRR");
+    }
+
+    // A window longer than the whole split leaves no training day.
+    let empty = CommonConfig { t_steps: ds.spec.train_days + ds.spec.test_days + 10, ..common };
+    for mut model in roster(&ds, &empty) {
+        let name = model.name();
+        if name == "ARIMA" {
+            continue;
+        }
+        let (fit, events) = fit_recorded(model.as_mut(), &ds);
+        assert_eq!(fit.epoch_losses.len(), 2, "{name}");
+        assert!(
+            fit.epoch_losses.iter().all(|l| l.is_nan()),
+            "{name}: an empty split must yield NaN losses, not a silent 0.0: {:?}",
+            fit.epoch_losses
+        );
+        assert!(has_event(&events, "warn", "fit.empty_split"), "{name} did not warn fit.empty_split");
     }
 }
 
