@@ -151,7 +151,11 @@ impl Rsr {
         };
         let inv_deg = tape.constant(self.inv_deg_dst.clone().unwrap());
         let weights = tape.mul(strength, inv_deg);
-        let revised = tape.spmm_csr(csr, weights, e); // (N, H)
+        // One plane of the batched kernel, weights shared.
+        let h = tape.value(e).dims()[1];
+        let e_plane = tape.reshape(e, [1, n, h]);
+        let revised = tape.spmm_batched(csr, weights, e_plane);
+        let revised = tape.reshape(revised, [n, h]); // (N, H)
         let revised = tape.leaky_relu(revised);
         drop(_relational);
         // Concat [e ; revised] along features.

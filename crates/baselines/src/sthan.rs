@@ -181,7 +181,11 @@ impl Sthan {
         // Spatial hypergraph propagation.
         let relational = rtgcn_telemetry::span("relational");
         let hw = tape.constant(self.hg_weights.clone().unwrap());
-        let prop = tape.spmm_csr(self.hg_csr.as_ref().unwrap(), hw, z);
+        // One plane of the batched kernel, weights shared.
+        let h = tape.value(z).dims()[1];
+        let z_plane = tape.reshape(z, [1, n, h]);
+        let prop = tape.spmm_batched(self.hg_csr.as_ref().unwrap(), hw, z_plane);
+        let prop = tape.reshape(prop, [n, h]);
         let w_hg = self.store.bind(tape, self.w_hg.unwrap());
         let prop = tape.matmul(prop, w_hg);
         let zp = tape.relu(prop); // (N, H)

@@ -9,11 +9,10 @@
 // global allocator installed in every harness binary.
 rtgcn_telemetry::install_tracking_allocator!();
 
-use rtgcn_bench::{HarnessArgs, Spec};
+use rtgcn_bench::{evaluate_roster, for_each_market, HarnessArgs, RunnerConfig, Spec};
 use rtgcn_baselines::{CommonConfig, ModelKind};
 use rtgcn_core::Strategy;
-use rtgcn_eval::{backtest, write_json};
-use rtgcn_market::{RelationKind, StockDataset, UniverseSpec};
+use rtgcn_market::{Market, RelationKind};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -33,23 +32,20 @@ fn main() {
         Spec::Baseline(ModelKind::RtGat),
         Spec::Gcn(Strategy::TimeSensitive),
     ];
+    // Timings need the machine to themselves and must come from this run:
+    // one job at a time, and no journal to resume from.
+    let cfg = RunnerConfig { jobs: 1, ..RunnerConfig::from_env() };
 
-    for &market in &args.markets {
-        let spec = UniverseSpec::of(market, args.scale);
-        let ds = StockDataset::generate(spec, args.base_seed);
-        let mut rows = Vec::new();
-        for s in &roster {
-            eprintln!("[fig5] {}: timing {}", market.name(), s.name());
-            rtgcn_bench::begin_model_scope(&s.name());
-            let mut model = s.build(&ds, &common, RelationKind::Both, args.base_seed);
-            let fit = model.fit(&ds);
-            let outcome = backtest(model.as_mut(), &ds, &[5], args.base_seed);
-            rows.push(SpeedRow {
-                name: s.name(),
-                train_secs_per_epoch: fit.train_secs,
-                test_secs: outcome.test_secs,
-            });
-        }
+    for_each_market(&args, "fig5", &Market::ALL, |market, ds| {
+        let rows: Vec<SpeedRow> =
+            evaluate_roster(&roster, ds, &common, RelationKind::Both, &[args.base_seed], &[5], &cfg)
+                .into_iter()
+                .map(|r| SpeedRow {
+                    name: r.name,
+                    train_secs_per_epoch: r.mean_train_secs,
+                    test_secs: r.mean_test_secs,
+                })
+                .collect();
         println!("\nFigure 5 — speed comparison, {} (scale {:?})\n", market.name(), args.scale);
         let max = rows
             .iter()
@@ -77,8 +73,6 @@ fn main() {
                 r.test_secs / ours.test_secs
             );
         }
-        let path = format!("{}/fig5_{}.json", args.out_dir, market.name().to_lowercase());
-        write_json(&path, &rows).unwrap_or_else(|e| rtgcn_bench::harness_error("fig5_speed", &e));
-        eprintln!("[fig5] wrote {path}");
-    }
+        rows
+    });
 }

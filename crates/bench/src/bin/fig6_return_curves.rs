@@ -7,11 +7,10 @@
 // global allocator installed in every harness binary.
 rtgcn_telemetry::install_tracking_allocator!();
 
-use rtgcn_bench::{HarnessArgs, Spec};
+use rtgcn_bench::{context, for_each_market, run_roster, HarnessArgs, RunnerConfig, Spec};
 use rtgcn_baselines::CommonConfig;
 use rtgcn_core::Strategy;
-use rtgcn_eval::{backtest, write_json};
-use rtgcn_market::{index_cumulative_returns, RelationKind, StockDataset, UniverseSpec};
+use rtgcn_market::{index_cumulative_returns, Market, RelationKind};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -58,38 +57,32 @@ fn ascii_chart(series: &[(String, Vec<f64>)], width: usize, height: usize) {
 fn main() {
     let (args, _telemetry) = HarnessArgs::init("fig6_return_curves");
     let common = CommonConfig { epochs: args.epochs, ..Default::default() };
+    let roster = Strategy::ALL.map(Spec::Gcn);
 
-    for &market in &args.markets {
-        let spec = UniverseSpec::of(market, args.scale);
-        let ds = StockDataset::generate(spec, args.base_seed);
+    for_each_market(&args, "fig6", &Market::ALL, |market, ds| {
         let test_days = ds.test_end_days();
-        let index = index_cumulative_returns(&ds, &test_days);
-        let mut curves: BTreeMap<String, BTreeMap<usize, Vec<f64>>> = BTreeMap::new();
-        for strategy in Strategy::ALL {
-            let s = Spec::Gcn(strategy);
-            eprintln!("[fig6] {}: {}", market.name(), s.name());
-            rtgcn_bench::begin_model_scope(&s.name());
-            let mut model = s.build(&ds, &common, RelationKind::Both, args.base_seed);
-            model.fit(&ds);
-            let outcome = backtest(model.as_mut(), &ds, &KS, args.base_seed);
-            curves.insert(
-                strategy.label().to_string(),
-                outcome.daily_cumulative.iter().map(|(&k, v)| (k, v.clone())).collect(),
-            );
-        }
+        let index = index_cumulative_returns(ds, &test_days);
         println!(
             "\nFigure 6 — {} cumulative return ratio over {} test days (scale {:?})",
             market.name(),
             test_days.len(),
             args.scale
         );
-        for strategy in Strategy::ALL {
+        let cfg = RunnerConfig::from_env().with_journal(context("fig6", market, None, &args));
+        let results =
+            run_roster(&roster, ds, &common, RelationKind::Both, &[args.base_seed], &KS, &cfg);
+        let mut curves: BTreeMap<String, BTreeMap<usize, Vec<f64>>> = BTreeMap::new();
+        for (strategy, (mut runs, failed)) in Strategy::ALL.into_iter().zip(results) {
             let label = strategy.label().to_string();
+            let Some(run) = runs.pop() else {
+                let why = failed.first().map_or("", |f| f.reason.as_str());
+                eprintln!("[fig6] {label}: job failed, no curve: {why}");
+                continue;
+            };
+            let curve = run.outcome.daily_cumulative;
             println!("\n{label} vs {}:", market.index_name());
-            let mut named: Vec<(String, Vec<f64>)> = KS
-                .iter()
-                .map(|k| (format!("IRR-{k}"), curves[&label][k].clone()))
-                .collect();
+            let mut named: Vec<(String, Vec<f64>)> =
+                KS.iter().map(|k| (format!("IRR-{k}"), curve[k].clone())).collect();
             named.push((
                 market.index_name().to_string(),
                 index.iter().map(|&v| v as f64).collect(),
@@ -100,7 +93,7 @@ fn main() {
             let final_vals: Vec<String> = KS
                 .iter()
                 .map(|k| {
-                    let v = curves[&label][k].last().copied().unwrap_or(f64::NAN);
+                    let v = curve[k].last().copied().unwrap_or(f64::NAN);
                     format!("IRR-{k} = {v:+.2}")
                 })
                 .collect();
@@ -110,15 +103,13 @@ fn main() {
                 market.index_name(),
                 index.last().copied().unwrap_or(f32::NAN)
             );
+            curves.insert(label, curve);
         }
-        let artifact = CurveArtifact {
+        CurveArtifact {
             market: market.name().into(),
             index_name: market.index_name().into(),
             index,
             curves,
-        };
-        let path = format!("{}/fig6_{}.json", args.out_dir, market.name().to_lowercase());
-        write_json(&path, &artifact).unwrap_or_else(|e| rtgcn_bench::harness_error("fig6_return_curves", &e));
-        eprintln!("[fig6] wrote {path}");
-    }
+        }
+    });
 }

@@ -7,64 +7,51 @@
 // global allocator installed in every harness binary.
 rtgcn_telemetry::install_tracking_allocator!();
 
-use rtgcn_bench::HarnessArgs;
+use rtgcn_bench::{context, evaluate_roster, for_each_market, HarnessArgs, RunnerConfig, Spec};
 use rtgcn_baselines::CommonConfig;
-use rtgcn_core::{RtGcn, RtGcnConfig, StockRanker, Strategy};
-use rtgcn_eval::{backtest, write_json, Table};
-use rtgcn_market::{RelationKind, StockDataset, UniverseSpec};
+use rtgcn_core::Strategy;
+use rtgcn_eval::Table;
+use rtgcn_market::{Market, RelationKind};
 use serde::Serialize;
+use std::collections::BTreeMap;
 
 const KS: [usize; 3] = [1, 5, 10];
 const WINDOWS: [usize; 4] = [5, 10, 15, 20];
-const FEATURES: [usize; 4] = [1, 2, 3, 4];
+/// Feature counts and the Table VIII combinations they stand for.
+const FEATURES: [(usize, &str); 4] =
+    [(1, "close"), (2, "close+5d MA"), (3, "close+5d+10d MA"), (4, "close+5d+10d+20d MA")];
 const ALPHAS: [f32; 7] = [0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.5];
 
 #[derive(Serialize)]
 struct SweepPoint {
     sweep: String,
     value: f64,
-    irr: std::collections::BTreeMap<usize, f64>,
+    irr: BTreeMap<usize, f64>,
 }
 
-fn run_point(
-    ds: &StockDataset,
-    base: &CommonConfig,
-    t_steps: usize,
-    n_features: usize,
-    alpha: f32,
-    seeds: &[u64],
-) -> std::collections::BTreeMap<usize, f64> {
-    let mut acc: std::collections::BTreeMap<usize, f64> = KS.iter().map(|&k| (k, 0.0)).collect();
-    for &seed in seeds {
-        let cfg = RtGcnConfig {
-            t_steps,
-            n_features,
-            alpha,
-            rel_filters: base.hidden,
-            temporal_filters: base.hidden,
-            epochs: base.epochs,
-            lr: base.lr,
-            strategy: Strategy::TimeSensitive,
-            ..Default::default()
-        };
-        let mut model = RtGcn::new(cfg, &ds.relations(RelationKind::Both), seed);
-        model.fit(ds);
-        let outcome = backtest(&mut model, ds, &KS, seed);
-        for &k in &KS {
-            *acc.get_mut(&k).unwrap() += outcome.irr[&k] / seeds.len() as f64;
-        }
-    }
-    acc
-}
+/// One setting of a one-axis sweep: its printed label (which also names its
+/// journal context), its artifact value, and the model configuration.
+type Point = (String, f64, CommonConfig);
 
 fn main() {
     let (args, _telemetry) = HarnessArgs::init("fig7_hyperparams");
     let base = CommonConfig { epochs: args.epochs, ..Default::default() };
     let seeds = args.seed_list();
+    let windows =
+        WINDOWS.map(|t| (t.to_string(), t as f64, CommonConfig { t_steps: t, ..base.clone() }));
+    let features = FEATURES.map(|(nf, combo)| {
+        (format!("{nf} ({combo})"), nf as f64, CommonConfig { n_features: nf, ..base.clone() })
+    });
+    let alphas =
+        ALPHAS.map(|a| (format!("{a}"), a as f64, CommonConfig { alpha: a, ..base.clone() }));
+    // (sweep, heading, first column, points)
+    let sweeps: [(&str, &str, &str, &[Point]); 3] = [
+        ("window", "\n(a-c) training window size", "Window T", &windows),
+        ("features", "(d-f) feature number (Table VIII)", "Features", &features),
+        ("alpha", "(g-i) balancing parameter alpha", "alpha", &alphas),
+    ];
 
-    for &market in &args.markets {
-        let spec = UniverseSpec::of(market, args.scale);
-        let ds = StockDataset::generate(spec, args.base_seed);
+    for_each_market(&args, "fig7", &Market::ALL, |market, ds| {
         println!(
             "\nFigure 7 — RT-GCN (T) hyperparameter sweeps, {} (scale {:?}, {} seeds)",
             market.name(),
@@ -72,60 +59,27 @@ fn main() {
             seeds.len()
         );
         let mut artifact = Vec::new();
-
-        // (a–c) window size.
-        let mut t_table = Table::new(["Window T", "IRR-1", "IRR-5", "IRR-10"]);
-        for &t in &WINDOWS {
-            eprintln!("[fig7] {} window={t}", market.name());
-            let irr = run_point(&ds, &base, t, base.n_features, base.alpha, &seeds);
-            t_table.add_row([
-                t.to_string(),
-                format!("{:.2}", irr[&1]),
-                format!("{:.2}", irr[&5]),
-                format!("{:.2}", irr[&10]),
-            ]);
-            artifact.push(SweepPoint { sweep: "window".into(), value: t as f64, irr });
+        for (sweep, heading, column, points) in sweeps {
+            let mut table = Table::new([column, "IRR-1", "IRR-5", "IRR-10"]);
+            for (label, value, common) in points {
+                eprintln!("[fig7] {} {sweep}={label}", market.name());
+                let variant = format!("{sweep}{label}");
+                let cfg = RunnerConfig::from_env()
+                    .with_journal(context("fig7", market, Some(&variant), &args));
+                let roster = [Spec::Gcn(Strategy::TimeSensitive)];
+                let rows =
+                    evaluate_roster(&roster, ds, common, RelationKind::Both, &seeds, &KS, &cfg);
+                let row = &rows[0];
+                for f in &row.failed_seeds {
+                    eprintln!("[fig7]   seed {} left out of the mean: {}", f.seed, f.reason);
+                }
+                let cells = KS.iter().map(|k| format!("{:.2}", row.irr[k]));
+                table.add_row(std::iter::once(label.clone()).chain(cells));
+                let irr = row.irr.clone();
+                artifact.push(SweepPoint { sweep: sweep.into(), value: *value, irr });
+            }
+            println!("{heading}:\n{}", table.render());
         }
-        println!("\n(a-c) training window size:\n{}", t_table.render());
-
-        // (d–f) feature count (Table VIII combinations).
-        let mut f_table = Table::new(["Features", "IRR-1", "IRR-5", "IRR-10"]);
-        for &nf in &FEATURES {
-            eprintln!("[fig7] {} features={nf}", market.name());
-            let irr = run_point(&ds, &base, base.t_steps, nf, base.alpha, &seeds);
-            let combo = match nf {
-                1 => "close",
-                2 => "close+5d MA",
-                3 => "close+5d+10d MA",
-                _ => "close+5d+10d+20d MA",
-            };
-            f_table.add_row([
-                format!("{nf} ({combo})"),
-                format!("{:.2}", irr[&1]),
-                format!("{:.2}", irr[&5]),
-                format!("{:.2}", irr[&10]),
-            ]);
-            artifact.push(SweepPoint { sweep: "features".into(), value: nf as f64, irr });
-        }
-        println!("(d-f) feature number (Table VIII):\n{}", f_table.render());
-
-        // (g–i) balancing parameter α.
-        let mut a_table = Table::new(["alpha", "IRR-1", "IRR-5", "IRR-10"]);
-        for &a in &ALPHAS {
-            eprintln!("[fig7] {} alpha={a}", market.name());
-            let irr = run_point(&ds, &base, base.t_steps, base.n_features, a, &seeds);
-            a_table.add_row([
-                format!("{a}"),
-                format!("{:.2}", irr[&1]),
-                format!("{:.2}", irr[&5]),
-                format!("{:.2}", irr[&10]),
-            ]);
-            artifact.push(SweepPoint { sweep: "alpha".into(), value: a as f64, irr });
-        }
-        println!("(g-i) balancing parameter alpha:\n{}", a_table.render());
-
-        let path = format!("{}/fig7_{}.json", args.out_dir, market.name().to_lowercase());
-        write_json(&path, &artifact).unwrap_or_else(|e| rtgcn_bench::harness_error("fig7_hyperparams", &e));
-        eprintln!("[fig7] wrote {path}");
-    }
+        artifact
+    });
 }

@@ -109,7 +109,7 @@ fn main() {
             );
         }
         // Attribution: which span paths' *self* time grew the most. This is
-        // what turns "epoch_secs_mean +40%" into "spmm_csr +38%".
+        // what turns "epoch_secs_mean +40%" into "spmm_batched +38%".
         let spans = attribute_span_regressions(&base, &new, top.unwrap_or(5));
         if spans.is_empty() {
             eprintln!("no span-level attribution available (snapshots lack shared span trees)");

@@ -6,113 +6,57 @@
 // global allocator installed in every harness binary.
 rtgcn_telemetry::install_tracking_allocator!();
 
-use rtgcn_bench::{evaluate_roster, strongest_baseline, HarnessArgs, ModelRow, RunnerConfig, Spec};
-use rtgcn_baselines::CommonConfig;
-use rtgcn_eval::{fmt_opt, fmt_p, paired, write_json, Alternative, Table};
-use rtgcn_market::{RelationKind, StockDataset, UniverseSpec};
+use rtgcn_bench::{strongest_baseline, HarnessArgs, ModelRow, RosterTable, Spec};
+use rtgcn_eval::{fmt_p, paired, Alternative, Table};
+use rtgcn_market::{Market, RelationKind};
 
 const KS: [usize; 3] = [1, 5, 10];
 
+/// Improvement and significance of RT-GCN (T) over the strongest baseline,
+/// per metric.
+fn print_improvement(rows: &[ModelRow], seeds: usize) {
+    let ours = rows.last().expect("roster ends with RT-GCN (T)");
+    let mut imp = Table::new(["Metric", "Strongest baseline", "RT-GCN (T)", "Improvement", "p-value"]);
+    // `None` is MRR, `Some(k)` IRR-k.
+    for k in std::iter::once(None).chain(KS.map(Some)) {
+        let mean = |r: &ModelRow| k.map_or(r.mrr, |k| r.irr.get(&k).copied());
+        let Some(best) = strongest_baseline(rows, mean) else { continue };
+        let (ov, bv) = (mean(ours).unwrap_or(f64::NAN), mean(best).unwrap_or(f64::NAN));
+        let improvement = if bv.abs() > 1e-12 { 100.0 * (ov - bv) / bv.abs() } else { f64::NAN };
+        let (ours_samples, best_samples) = match k {
+            None => (&ours.mrr_samples, &best.mrr_samples),
+            Some(k) => (&ours.irr_samples[&k], &best.irr_samples[&k]),
+        };
+        let p = if ours_samples.len() == best_samples.len() && ours_samples.len() >= 2 {
+            Some(paired(ours_samples, best_samples, Alternative::Greater).p_value)
+        } else {
+            None
+        };
+        imp.add_row([
+            k.map_or("MRR".to_string(), |k| format!("IRR-{k}")),
+            format!("{} ({bv:.3})", best.name),
+            format!("{ov:.3}"),
+            format!("{improvement:+.1}%"),
+            p.map(fmt_p).unwrap_or_else(|| "-".into()),
+        ]);
+    }
+    println!("{}", imp.render());
+    if seeds < 15 {
+        println!(
+            "note: paper uses 15 seeds; {seeds} seed(s) here — rerun with --seeds 15 for paper-grade p-values\n"
+        );
+    }
+}
+
 fn main() {
     let (args, _telemetry) = HarnessArgs::init("table4_baselines");
-    let common = CommonConfig { epochs: args.epochs, ..Default::default() };
-    let seeds = args.seed_list();
-    let roster = Spec::table4_roster();
-
-    for &market in &args.markets {
-        let spec = UniverseSpec::of(market, args.scale);
-        let ds = StockDataset::generate(spec, args.base_seed);
-        eprintln!(
-            "[table4] {}: {} stocks, {} train days, {} test days, {} seeds x {} models",
-            market.name(),
-            ds.n_stocks(),
-            ds.spec.train_days,
-            ds.spec.test_days,
-            seeds.len(),
-            roster.len()
-        );
-        // One pool job per (model, seed); the journal context pins every
-        // knob that changes results so --resume never mixes configurations.
-        let cfg = RunnerConfig::from_env().with_journal(format!(
-            "table4-{}-{:?}-e{}-s{}",
-            market.name(),
-            args.scale,
-            args.epochs,
-            args.base_seed
-        ));
-        let rows: Vec<ModelRow> =
-            evaluate_roster(&roster, &ds, &common, RelationKind::Both, &seeds, &KS, &cfg);
-        for r in &rows {
-            if !r.failed_seeds.is_empty() {
-                eprintln!("[table4]   {}: {} failed seed(s)", r.name, r.failed_seeds.len());
-            }
-        }
-
-        let mut table = Table::new(["Cat", "Model", "MRR", "IRR-1", "IRR-5", "IRR-10"]);
-        for r in &rows {
-            table.add_row([
-                r.category.clone(),
-                r.name.clone(),
-                fmt_opt(r.mrr, 3),
-                fmt_opt(r.irr.get(&1).copied(), 2),
-                fmt_opt(r.irr.get(&5).copied(), 2),
-                fmt_opt(r.irr.get(&10).copied(), 2),
-            ]);
-        }
-        println!("\nTable IV — {} (scale {:?}, {} seeds)\n", market.name(), args.scale, seeds.len());
-        println!("{}", table.render());
-
-        // Improvement + significance of RT-GCN (T) vs strongest baseline.
-        let ours = rows.last().expect("roster ends with RT-GCN (T)");
-        let mut imp = Table::new(["Metric", "Strongest baseline", "RT-GCN (T)", "Improvement", "p-value"]);
-        type Metric = (String, Box<dyn Fn(&ModelRow) -> Option<f64>>, Vec<f64>);
-        let metrics: Vec<Metric> = {
-            let mut v: Vec<Metric> = vec![(
-                "MRR".to_string(),
-                Box::new(|r: &ModelRow| r.mrr),
-                ours.mrr_samples.clone(),
-            )];
-            for k in KS {
-                v.push((
-                    format!("IRR-{k}"),
-                    Box::new(move |r: &ModelRow| r.irr.get(&k).copied()),
-                    ours.irr_samples[&k].clone(),
-                ));
-            }
-            v
-        };
-        for (label, metric, ours_samples) in metrics {
-            let Some(best) = strongest_baseline(&rows, &metric) else { continue };
-            let best_samples = if label == "MRR" {
-                best.mrr_samples.clone()
-            } else {
-                let k: usize = label[4..].parse().unwrap();
-                best.irr_samples[&k].clone()
-            };
-            let (ov, bv) = (metric(ours).unwrap_or(f64::NAN), metric(best).unwrap_or(f64::NAN));
-            let improvement = if bv.abs() > 1e-12 { 100.0 * (ov - bv) / bv.abs() } else { f64::NAN };
-            let p = if ours_samples.len() == best_samples.len() && ours_samples.len() >= 2 {
-                Some(paired(&ours_samples, &best_samples, Alternative::Greater).p_value)
-            } else {
-                None
-            };
-            imp.add_row([
-                label,
-                format!("{} ({bv:.3})", best.name),
-                format!("{ov:.3}"),
-                format!("{improvement:+.1}%"),
-                p.map(fmt_p).unwrap_or_else(|| "-".into()),
-            ]);
-        }
-        println!("{}", imp.render());
-        if seeds.len() < 15 {
-            println!(
-                "note: paper uses 15 seeds; {} seed(s) here — rerun with --seeds 15 for paper-grade p-values\n",
-                seeds.len()
-            );
-        }
-        let path = format!("{}/table4_{}.json", args.out_dir, market.name().to_lowercase());
-        write_json(&path, &rows).unwrap_or_else(|e| rtgcn_bench::harness_error("table4_baselines", &e));
-        eprintln!("[table4] wrote {path}");
-    }
+    let table = RosterTable {
+        tag: "table4",
+        title: "Table IV",
+        markets: &Market::ALL,
+        roster: Spec::table4_roster(),
+        relations: &[RelationKind::Both],
+        ks: &KS,
+    };
+    table.run(&args, |rows| print_improvement(rows, args.seeds));
 }

@@ -9,82 +9,49 @@
 // global allocator installed in every harness binary.
 rtgcn_telemetry::install_tracking_allocator!();
 
-use rtgcn_bench::{evaluate_roster, HarnessArgs, RunnerConfig, Spec};
-use rtgcn_baselines::{CommonConfig, ModelKind};
+use rtgcn_bench::{HarnessArgs, ModelRow, RosterTable, Spec};
+use rtgcn_baselines::ModelKind;
 use rtgcn_core::Strategy;
-use rtgcn_eval::{fmt_opt, fmt_p, one_sample, write_json, Alternative, Table};
-use rtgcn_market::{Market, RelationKind, StockDataset, UniverseSpec};
+use rtgcn_eval::{fmt_p, one_sample, Alternative, Table};
+use rtgcn_market::{Market, RelationKind};
 
-const KS: [usize; 2] = [5, 10];
+/// One-sample tests of our per-seed runs against each baseline's mean (a
+/// stand-in for its published value).
+fn print_p_values(rows: &[ModelRow]) {
+    let Some((ours, baselines)) = rows.split_last() else { return };
+    let p = |samples: &[f64], mean: f64| {
+        if samples.len() >= 2 {
+            fmt_p(one_sample(samples, mean, Alternative::Greater).p_value)
+        } else {
+            "-".into()
+        }
+    };
+    let mut table = Table::new(["Baseline", "p (MRR)", "p (IRR-5)"]);
+    for r in baselines {
+        table.add_row([
+            r.name.clone(),
+            r.mrr.map_or_else(|| "-".into(), |m| p(&ours.mrr_samples, m)),
+            p(&ours.irr_samples[&5], r.irr[&5]),
+        ]);
+    }
+    println!("{}", table.render());
+}
 
 fn main() {
-    let (mut args, _telemetry) = HarnessArgs::init("table5_published_setting");
-    // Table V covers NASDAQ-II and NYSE-II only.
-    args.markets.retain(|m| matches!(m, Market::Nasdaq | Market::Nyse));
-    let common = CommonConfig { epochs: args.epochs, ..Default::default() };
-    let seeds = args.seed_list();
-    let roster = [
-        Spec::Baseline(ModelKind::RsrI),
-        Spec::Baseline(ModelKind::RsrE),
-        Spec::Baseline(ModelKind::Sthan),
-        Spec::Gcn(Strategy::TimeSensitive),
-    ];
-
-    for &market in &args.markets {
-        let spec = UniverseSpec::of(market, args.scale);
-        let ds = StockDataset::generate(spec, args.base_seed);
-        eprintln!("[table5] {}-II: industry relations only", market.name());
-        let cfg = RunnerConfig::from_env().with_journal(format!(
-            "table5-{}-{:?}-e{}-s{}",
-            market.name(),
-            args.scale,
-            args.epochs,
-            args.base_seed
-        ));
-        let rows =
-            evaluate_roster(&roster, &ds, &common, RelationKind::Industry, &seeds, &KS, &cfg);
-
-        let mut table = Table::new(["Model", "MRR", "IRR-5", "IRR-10", "p (MRR)", "p (IRR-5)"]);
-        let ours = rows.last().unwrap();
-        for r in &rows {
-            let (p_mrr, p_irr5) = if r.name == ours.name {
-                ("-".to_string(), "-".to_string())
-            } else {
-                // One-sample test: our per-seed runs vs this baseline's mean
-                // (stand-in for its published value).
-                let pm = match (r.mrr, ours.mrr_samples.len() >= 2) {
-                    (Some(m), true) => {
-                        fmt_p(one_sample(&ours.mrr_samples, m, Alternative::Greater).p_value)
-                    }
-                    _ => "-".into(),
-                };
-                let pi = if ours.irr_samples[&5].len() >= 2 {
-                    fmt_p(
-                        one_sample(&ours.irr_samples[&5], r.irr[&5], Alternative::Greater).p_value,
-                    )
-                } else {
-                    "-".into()
-                };
-                (pm, pi)
-            };
-            table.add_row([
-                r.name.clone(),
-                fmt_opt(r.mrr, 3),
-                fmt_opt(r.irr.get(&5).copied(), 2),
-                fmt_opt(r.irr.get(&10).copied(), 2),
-                p_mrr,
-                p_irr5,
-            ]);
-        }
-        println!(
-            "\nTable V — {}-II, industry relations only (scale {:?}, {} seeds)\n",
-            market.name(),
-            args.scale,
-            seeds.len()
-        );
-        println!("{}", table.render());
-        let path = format!("{}/table5_{}.json", args.out_dir, market.name().to_lowercase());
-        write_json(&path, &rows).unwrap_or_else(|e| rtgcn_bench::harness_error("table5_published_setting", &e));
-        eprintln!("[table5] wrote {path}");
-    }
+    let (args, _telemetry) = HarnessArgs::init("table5_published_setting");
+    let table = RosterTable {
+        tag: "table5",
+        title: "Table V (industry relations only)",
+        // NASDAQ-II and NYSE-II.
+        markets: &[Market::Nasdaq, Market::Nyse],
+        roster: vec![
+            Spec::Baseline(ModelKind::RsrI),
+            Spec::Baseline(ModelKind::RsrE),
+            Spec::Baseline(ModelKind::Sthan),
+            Spec::Gcn(Strategy::TimeSensitive),
+        ],
+        relations: &[RelationKind::Industry],
+        ks: &[5, 10],
+    };
+    table.run(&args, print_p_values);
 }

@@ -6,67 +6,26 @@
 // global allocator installed in every harness binary.
 rtgcn_telemetry::install_tracking_allocator!();
 
-use rtgcn_bench::{evaluate_roster, HarnessArgs, RunnerConfig, Spec};
-use rtgcn_baselines::{CommonConfig, ModelKind};
+use rtgcn_bench::{HarnessArgs, RosterTable, Spec};
+use rtgcn_baselines::ModelKind;
 use rtgcn_core::Strategy;
-use rtgcn_eval::{fmt_opt, write_json, Table};
-use rtgcn_market::{Market, RelationKind, StockDataset, UniverseSpec};
-
-const KS: [usize; 3] = [1, 5, 10];
+use rtgcn_market::{Market, RelationKind};
 
 fn main() {
-    let (mut args, _telemetry) = HarnessArgs::init("table6_relation_types");
-    // CSI has no wiki relations; the paper runs this on NASDAQ and NYSE.
-    args.markets.retain(|m| matches!(m, Market::Nasdaq | Market::Nyse));
-    let common = CommonConfig { epochs: args.epochs, ..Default::default() };
-    let seeds = args.seed_list();
-    let roster = [
-        Spec::Baseline(ModelKind::RankLstm),
-        Spec::Gcn(Strategy::Uniform),
-        Spec::Gcn(Strategy::Weighted),
-        Spec::Gcn(Strategy::TimeSensitive),
-    ];
-
-    for &market in &args.markets {
-        let spec = UniverseSpec::of(market, args.scale);
-        let ds = StockDataset::generate(spec, args.base_seed);
-        println!(
-            "\nTable VI — {} (scale {:?}, {} seeds)\n",
-            market.name(),
-            args.scale,
-            seeds.len()
-        );
-        let mut artifacts = Vec::new();
-        for (kind, label) in
-            [(RelationKind::Wiki, "Wiki-relation"), (RelationKind::Industry, "Industry-relation")]
-        {
-            let mut table = Table::new(["Model", "MRR", "IRR-1", "IRR-5", "IRR-10"]);
-            // The relation kind changes every result, so it is part of the
-            // journal context: wiki-only and industry-only runs of the same
-            // model/seed never resume into each other.
-            let cfg = RunnerConfig::from_env().with_journal(format!(
-                "table6-{}-{kind:?}-{:?}-e{}-s{}",
-                market.name(),
-                args.scale,
-                args.epochs,
-                args.base_seed
-            ));
-            eprintln!("[table6] {} / {label}: {} models", market.name(), roster.len());
-            for row in evaluate_roster(&roster, &ds, &common, kind, &seeds, &KS, &cfg) {
-                table.add_row([
-                    row.name.clone(),
-                    fmt_opt(row.mrr, 3),
-                    fmt_opt(row.irr.get(&1).copied(), 2),
-                    fmt_opt(row.irr.get(&5).copied(), 2),
-                    fmt_opt(row.irr.get(&10).copied(), 2),
-                ]);
-                artifacts.push((label.to_string(), row));
-            }
-            println!("{label}:");
-            println!("{}", table.render());
-        }
-        let path = format!("{}/table6_{}.json", args.out_dir, market.name().to_lowercase());
-        write_json(&path, &artifacts).unwrap_or_else(|e| rtgcn_bench::harness_error("table6_relation_types", &e));
-        eprintln!("[table6] wrote {path}");
+    let (args, _telemetry) = HarnessArgs::init("table6_relation_types");
+    RosterTable {
+        tag: "table6",
+        title: "Table VI",
+        // CSI has no wiki relations; the paper runs this on NASDAQ and NYSE.
+        markets: &[Market::Nasdaq, Market::Nyse],
+        roster: vec![
+            Spec::Baseline(ModelKind::RankLstm),
+            Spec::Gcn(Strategy::Uniform),
+            Spec::Gcn(Strategy::Weighted),
+            Spec::Gcn(Strategy::TimeSensitive),
+        ],
+        relations: &[RelationKind::Wiki, RelationKind::Industry],
+        ks: &[1, 5, 10],
     }
+    .run(&args, |_| {});
 }

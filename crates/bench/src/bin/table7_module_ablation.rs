@@ -6,51 +6,19 @@
 // global allocator installed in every harness binary.
 rtgcn_telemetry::install_tracking_allocator!();
 
-use rtgcn_bench::{evaluate_roster, HarnessArgs, RunnerConfig, Spec};
-use rtgcn_baselines::CommonConfig;
+use rtgcn_bench::{HarnessArgs, RosterTable, Spec};
 use rtgcn_core::Strategy;
-use rtgcn_eval::{fmt_opt, write_json, Table};
-use rtgcn_market::{RelationKind, StockDataset, UniverseSpec};
-
-const KS: [usize; 3] = [1, 5, 10];
+use rtgcn_market::{Market, RelationKind};
 
 fn main() {
     let (args, _telemetry) = HarnessArgs::init("table7_module_ablation");
-    let common = CommonConfig { epochs: args.epochs, ..Default::default() };
-    let seeds = args.seed_list();
-    let roster = [Spec::Gcn(Strategy::Uniform), Spec::RConv, Spec::TConv];
-
-    for &market in &args.markets {
-        let spec = UniverseSpec::of(market, args.scale);
-        let ds = StockDataset::generate(spec, args.base_seed);
-        let mut table = Table::new(["Model", "MRR", "IRR-1", "IRR-5", "IRR-10"]);
-        let cfg = RunnerConfig::from_env().with_journal(format!(
-            "table7-{}-{:?}-e{}-s{}",
-            market.name(),
-            args.scale,
-            args.epochs,
-            args.base_seed
-        ));
-        eprintln!("[table7] {}: {} models", market.name(), roster.len());
-        let rows = evaluate_roster(&roster, &ds, &common, RelationKind::Both, &seeds, &KS, &cfg);
-        for row in &rows {
-            table.add_row([
-                row.name.clone(),
-                fmt_opt(row.mrr, 3),
-                fmt_opt(row.irr.get(&1).copied(), 2),
-                fmt_opt(row.irr.get(&5).copied(), 2),
-                fmt_opt(row.irr.get(&10).copied(), 2),
-            ]);
-        }
-        println!(
-            "\nTable VII — {} (scale {:?}, {} seeds)\n",
-            market.name(),
-            args.scale,
-            seeds.len()
-        );
-        println!("{}", table.render());
-        let path = format!("{}/table7_{}.json", args.out_dir, market.name().to_lowercase());
-        write_json(&path, &rows).unwrap_or_else(|e| rtgcn_bench::harness_error("table7_module_ablation", &e));
-        eprintln!("[table7] wrote {path}");
+    RosterTable {
+        tag: "table7",
+        title: "Table VII",
+        markets: &Market::ALL,
+        roster: vec![Spec::Gcn(Strategy::Uniform), Spec::RConv, Spec::TConv],
+        relations: &[RelationKind::Both],
+        ks: &[1, 5, 10],
     }
+    .run(&args, |_| {});
 }

@@ -71,6 +71,19 @@ pub fn harness_ctx() -> Option<(&'static str, &'static std::path::Path)> {
     HARNESS_CTX.get().map(|(h, d)| (h.as_str(), d.as_path()))
 }
 
+/// Returned by [`HarnessArgs::init`]. On drop it finishes the runner's
+/// per-model scopes (their logs and trace exports), then drops the root
+/// [`rtgcn_telemetry::Telemetry`] guard.
+pub struct HarnessGuard {
+    _telemetry: rtgcn_telemetry::Telemetry,
+}
+
+impl Drop for HarnessGuard {
+    fn drop(&mut self) {
+        crate::runner::finish_model_scopes();
+    }
+}
+
 fn parse_market(s: &str) -> Option<Market> {
     match s.to_ascii_lowercase().as_str() {
         "nasdaq" => Some(Market::Nasdaq),
@@ -146,10 +159,10 @@ impl HarnessArgs {
 
     /// Parse from the process environment and bootstrap telemetry. On a bad
     /// flag this routes through [`harness_error`] (named harness, nonzero
-    /// exit). Returns the parsed args plus the [`rtgcn_telemetry::Telemetry`]
-    /// guard — keep it alive for the whole `main` so the summary and JSONL
-    /// flush fire on exit.
-    pub fn init(harness: &str) -> (Self, rtgcn_telemetry::Telemetry) {
+    /// exit). Returns the parsed args plus a [`HarnessGuard`] — keep it
+    /// alive for the whole `main` so the summary and JSONL flush fire on
+    /// exit.
+    pub fn init(harness: &str) -> (Self, HarnessGuard) {
         let args = match Self::parse(std::env::args().skip(1)) {
             Ok(a) => a,
             Err(e) => harness_error(harness, &e),
@@ -158,9 +171,9 @@ impl HarnessArgs {
         // The monitor server (RTGCN_MONITOR) starts inside init_harness;
         // the /runs route must be on the table before that.
         crate::monitor::install_runs_route();
-        let guard = rtgcn_telemetry::init_harness(harness, &logs);
+        let telemetry = rtgcn_telemetry::init_harness(harness, &logs);
         let _ = HARNESS_CTX.set((harness.to_string(), logs));
-        (args, guard)
+        (args, HarnessGuard { _telemetry: telemetry })
     }
 
     /// The seed list for repetition `0..seeds`.

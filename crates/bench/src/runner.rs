@@ -14,7 +14,10 @@
 //!
 //! Worker threads enter a per-model [`rtgcn_telemetry::ModelScope`], so
 //! concurrent models keep disjoint metric registries and disjoint
-//! `run-<harness>-<model>.jsonl` sinks. Job results are re-sorted into
+//! `run-<harness>-<model>.jsonl` sinks. A scope with a log lives for the
+//! whole process: a harness that evaluates one model several times (per
+//! market, relation family or sweep point) re-enters the same scope, so its
+//! log accumulates every evaluation. Job results are re-sorted into
 //! (model, seed) order before aggregation, which makes the parallel path
 //! reproduce the serial path's `ModelRow`s bit-identically: the models
 //! themselves are deterministic given a seed (kernels run on the job's own
@@ -29,14 +32,15 @@
 use crate::journal::{self, Journal, JournalRecord};
 use crate::monitor;
 use crate::models::Spec;
+use parking_lot::Mutex;
 use rtgcn_baselines::CommonConfig;
 use rtgcn_core::FitReport;
 use rtgcn_eval::{backtest, BacktestOutcome};
 use rtgcn_market::{RelationKind, StockDataset};
-use rtgcn_telemetry::ModelScope;
+use rtgcn_telemetry::{Event, ModelScope};
 use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -318,37 +322,44 @@ pub(crate) fn run_pool<T: Send + 'static>(
 
 // ------------------------------------------------------------ evaluation
 
-/// Fit and backtest `spec` once per seed, serially on the calling thread
-/// (the historical path; kept for callers that manage their own scopes).
-pub fn run_seeds(
-    spec: &Spec,
-    ds: &StockDataset,
-    common: &CommonConfig,
-    relation_kind: RelationKind,
-    seeds: &[u64],
-    ks: &[usize],
-) -> Vec<SeedRun> {
-    // Each model gets its own JSONL file (run-<harness>-<model>.jsonl) and a
-    // fresh aggregate registry, so per-model stats stand alone.
-    crate::cli::begin_model_scope(&spec.name());
-    seeds
-        .iter()
-        .map(|&seed| {
-            let _seed_span = rtgcn_telemetry::span("seed");
-            let mut model = spec.build(ds, common, relation_kind, seed);
-            let fit = model.fit(ds);
-            let outcome = backtest(model.as_mut(), ds, ks, seed);
-            SeedRun { seed, outcome, fit }
-        })
-        .collect()
+/// Per-model scopes that own a `run-<harness>-<model>.jsonl` log, one per
+/// log path for the whole process. A later evaluation of the same model
+/// re-enters its scope, so the log, the registry and the trace buffer keep
+/// every evaluation instead of being truncated by the next one.
+/// [`finish_model_scopes`] closes them when the harness exits.
+static LOGGED_SCOPES: Mutex<BTreeMap<PathBuf, ModelScope>> = Mutex::new(BTreeMap::new());
+
+fn logged_scope(dir: &Path, harness: &str, model: &str) -> ModelScope {
+    let path = rtgcn_telemetry::run_log_path(dir, harness, model);
+    let mut scopes = LOGGED_SCOPES.lock();
+    let scope = scopes.entry(path).or_insert_with_key(|path| {
+        let scope = ModelScope::new();
+        if let Err(e) = scope.install_file_sink(path) {
+            eprintln!("[runner] cannot open JSONL sink {}: {e}", path.display());
+        }
+        scope.emit(&Event::meta("harness", harness));
+        scope.emit(&Event::meta("model", model));
+        scope
+    });
+    scope.clone()
+}
+
+/// Finish every per-model scope with a log (aggregates, trace exports,
+/// closed sink). The guard [`crate::HarnessArgs::init`] returns calls this
+/// before the root telemetry guard drops.
+pub(crate) fn finish_model_scopes() {
+    let scopes = std::mem::take(&mut *LOGGED_SCOPES.lock());
+    for scope in scopes.into_values() {
+        scope.finish();
+    }
 }
 
 /// Evaluate a whole roster: every (model, seed) pair becomes one pool job.
-/// Results are re-sorted into (model, seed) order before aggregation, so the
-/// returned rows match a `jobs = 1` run bit-for-bit (wall-clock fields
+/// Returns each spec's completed runs and failed seeds, in seed order, so
+/// the result matches a `jobs = 1` run bit-for-bit (wall-clock fields
 /// aside). Completed jobs found in the journal (matching `cfg.context`) are
 /// reused instead of recomputed; their models keep their previous JSONL logs.
-pub fn evaluate_roster(
+pub fn run_roster(
     specs: &[Spec],
     ds: &StockDataset,
     common: &CommonConfig,
@@ -356,7 +367,7 @@ pub fn evaluate_roster(
     seeds: &[u64],
     ks: &[usize],
     cfg: &RunnerConfig,
-) -> Vec<ModelRow> {
+) -> Vec<(Vec<SeedRun>, Vec<FailedSeed>)> {
     let names: Vec<String> = specs.iter().map(|s| s.name()).collect();
     let slots: Vec<(usize, u64)> = specs
         .iter()
@@ -418,16 +429,10 @@ pub fn evaluate_roster(
             if !pending.iter().any(|&si| slots[si].0 == mi) {
                 return None;
             }
-            let scope = ModelScope::new();
-            if let Some((dir, harness)) = &cfg.log_sink {
-                let path = rtgcn_telemetry::run_log_path(dir, harness, &names[mi]);
-                if let Err(e) = scope.install_file_sink(&path) {
-                    eprintln!("[runner] cannot open JSONL sink {}: {e}", path.display());
-                }
-                scope.emit(&rtgcn_telemetry::Event::meta("harness", harness));
-                scope.emit(&rtgcn_telemetry::Event::meta("model", &names[mi]));
-            }
-            Some(scope)
+            Some(match &cfg.log_sink {
+                Some((dir, harness)) => logged_scope(dir, harness, &names[mi]),
+                None => ModelScope::new(),
+            })
         })
         .collect();
 
@@ -521,27 +526,41 @@ pub fn evaluate_roster(
             eprintln!("[runner] telemetry summary for {}:", names[mi]);
             rtgcn_telemetry::print_summary();
         }
-        scope.finish();
+        // A logged scope outlives this call: publish its totals so far and
+        // leave closing it to `finish_model_scopes`.
+        if cfg.log_sink.is_some() {
+            scope.flush();
+        } else {
+            scope.finish();
+        }
     }
 
-    specs
-        .iter()
-        .enumerate()
-        .map(|(mi, spec)| {
-            let mut runs = Vec::new();
-            let mut failed = Vec::new();
-            for (si, &(smi, seed)) in slots.iter().enumerate() {
-                if smi != mi {
-                    continue;
-                }
-                // lint:allow(panic-free-hot-paths) run_pool returns one settled result per slot
-                match results[si].take().expect("every slot settled") {
-                    Ok(run) => runs.push(run),
-                    Err(reason) => failed.push(FailedSeed { seed, reason }),
-                }
-            }
-            aggregate_with_failures(spec, &runs, failed, ks)
-        })
+    let mut per_spec: Vec<(Vec<SeedRun>, Vec<FailedSeed>)> =
+        specs.iter().map(|_| (Vec::new(), Vec::new())).collect();
+    for (si, &(mi, seed)) in slots.iter().enumerate() {
+        // lint:allow(panic-free-hot-paths) run_pool returns one settled result per slot
+        match results[si].take().expect("every slot settled") {
+            Ok(run) => per_spec[mi].0.push(run),
+            Err(reason) => per_spec[mi].1.push(FailedSeed { seed, reason }),
+        }
+    }
+    per_spec
+}
+
+/// [`run_roster`] aggregated into one table row per spec.
+pub fn evaluate_roster(
+    specs: &[Spec],
+    ds: &StockDataset,
+    common: &CommonConfig,
+    relation_kind: RelationKind,
+    seeds: &[u64],
+    ks: &[usize],
+    cfg: &RunnerConfig,
+) -> Vec<ModelRow> {
+    run_roster(specs, ds, common, relation_kind, seeds, ks, cfg)
+        .into_iter()
+        .zip(specs)
+        .map(|((runs, failed), spec)| aggregate_with_failures(spec, &runs, failed, ks))
         .collect()
 }
 
@@ -625,35 +644,6 @@ pub fn aggregate_with_failures(
     }
 }
 
-/// Aggregate seed runs into a table row (no externally failed seeds).
-pub fn aggregate(spec: &Spec, runs: &[SeedRun], ks: &[usize]) -> ModelRow {
-    aggregate_with_failures(spec, runs, Vec::new(), ks)
-}
-
-/// Convenience: run + aggregate one model with environment-derived pool
-/// settings (no journal).
-pub fn evaluate(
-    spec: &Spec,
-    ds: &StockDataset,
-    common: &CommonConfig,
-    relation_kind: RelationKind,
-    seeds: &[u64],
-    ks: &[usize],
-) -> ModelRow {
-    evaluate_roster(
-        std::slice::from_ref(spec),
-        ds,
-        common,
-        relation_kind,
-        seeds,
-        ks,
-        &RunnerConfig::from_env(),
-    )
-    .pop()
-    // lint:allow(panic-free-hot-paths) slice::from_ref passed exactly one spec
-    .expect("one spec yields one row")
-}
-
 /// The strongest baseline for a metric: highest *finite* mean among
 /// non-"Ours" rows. Non-finite means are skipped — `total_cmp` orders NaN
 /// above every finite value, so a diverged baseline would otherwise win the
@@ -692,14 +682,16 @@ mod tests {
     #[test]
     fn evaluate_rtgcn_over_two_seeds() {
         let ds = tiny_ds();
-        let row = evaluate(
-            &Spec::Gcn(Strategy::Uniform),
+        let rows = evaluate_roster(
+            &[Spec::Gcn(Strategy::Uniform)],
             &ds,
             &tiny_common(),
             RelationKind::Both,
             &[1, 2],
             &[1, 5],
+            &RunnerConfig::from_env(),
         );
+        let row = &rows[0];
         assert_eq!(row.name, "RT-GCN (U)");
         assert_eq!(row.irr_samples[&1].len(), 2);
         assert_eq!(row.mrr_samples.len(), 2);
@@ -755,7 +747,7 @@ mod tests {
         let spec = Spec::Gcn(Strategy::Uniform);
         let runs =
             vec![run_with(1, 0.4, 0.1), run_with(2, f64::NAN, f64::NAN), run_with(3, 0.6, 0.3)];
-        let row = aggregate(&spec, &runs, &[1]);
+        let row = aggregate_with_failures(&spec, &runs, Vec::new(), &[1]);
         // The NaN seed no longer poisons the means...
         assert_eq!(row.irr[&1], 0.5);
         assert!((row.mrr.unwrap() - 0.2).abs() < 1e-12);
@@ -770,7 +762,8 @@ mod tests {
             .any(|l| l.contains("aggregate.non_finite"));
         assert!(warned, "expected aggregate.non_finite warn");
         // All seeds non-finite: NaN mean, not 0.0.
-        let row = aggregate(&spec, &[run_with(1, f64::NAN, f64::NAN)], &[1]);
+        let all_nan = [run_with(1, f64::NAN, f64::NAN)];
+        let row = aggregate_with_failures(&spec, &all_nan, Vec::new(), &[1]);
         assert!(row.irr[&1].is_nan());
         assert!(row.mrr.unwrap().is_nan());
     }

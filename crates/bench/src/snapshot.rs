@@ -418,7 +418,7 @@ pub fn attribute_span_regressions(
 }
 
 /// Render the attribution list as the lines `rtgcn-report` prints under a
-/// failed perf gate, e.g. `RT-GCN  seed/fit/epoch/relational/spmm_csr  self +38.2%  (12.0ms -> 16.6ms)`.
+/// failed perf gate, e.g. `RT-GCN  seed/fit/epoch/relational/spmm_batched  self +38.2%  (12.0ms -> 16.6ms)`.
 pub fn render_span_attribution(regs: &[SpanRegression]) -> String {
     let mut out = String::new();
     for r in regs {

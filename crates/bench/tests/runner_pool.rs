@@ -1,8 +1,10 @@
 //! Integration tests for the fault-isolated parallel runner: parallel ==
 //! serial bit-for-bit, panic/timeout isolation across sibling jobs, journal
-//! resume, and per-model JSONL sinks staying unmixed under concurrency.
+//! resume, per-model JSONL sinks staying unmixed under concurrency, and one
+//! model's log keeping every evaluation of a process.
 
 use rtgcn_baselines::{CommonConfig, ModelKind};
+use rtgcn_bench::snapshot::{model_snapshot, parse_events};
 use rtgcn_bench::{evaluate_roster, ModelRow, RunnerConfig, Spec};
 use rtgcn_core::Strategy;
 use rtgcn_market::{Market, RelationKind, Scale, StockDataset, UniverseSpec};
@@ -198,5 +200,30 @@ fn per_model_jsonl_sinks_stay_unmixed_under_concurrency() {
         // Seed spans from the worker threads landed in the right file.
         assert!(log.contains("\"seed\""), "{own}: no seed span events");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_model_log_keeps_every_evaluation_of_the_process() {
+    // Holds the telemetry test lock (spans are recorded at summary level).
+    let _g = rtgcn_telemetry::test_scope(rtgcn_telemetry::Level::Summary);
+    let dir = tmp_dir("rerun-log");
+    let ds = tiny_ds();
+    let roster = [Spec::Gcn(Strategy::Uniform)];
+    let mut cfg = cfg_with_jobs(1);
+    cfg.log_sink = Some((dir.clone(), "itest".to_string()));
+    // Two evaluations of one model, as Table VI makes per relation family.
+    for kind in [RelationKind::Wiki, RelationKind::Industry] {
+        let rows = evaluate_roster(&roster, &ds, &tiny_common(), kind, &[1], &[1], &cfg);
+        assert!(rows[0].failed_seeds.is_empty());
+    }
+    let path = rtgcn_telemetry::run_log_path(&dir, "itest", "RT-GCN (U)");
+    let log = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let events = parse_events(log.lines());
+    let health = events.iter().filter(|e| e.kind == "health").count();
+    assert_eq!(health, 2, "one health record per evaluation");
+    let snap = model_snapshot("RT-GCN (U)", &events);
+    let epochs = snap.spans.iter().find(|s| s.path == "seed/fit/epoch").map(|s| s.count);
+    assert_eq!(epochs, Some(2), "the last aggregates cover both fits");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -90,32 +90,16 @@ impl StrategyCtx {
         tape.reshape(imp, [self.n_rel_edges])
     }
 
-    /// Append unit self-loop weights and renormalise (differentiably):
-    /// `Ã = A + I`, `D̃_ii = Σ_j |Ã_ij|` (clamped), output weight per edge
-    /// `Ã_sd / √(D̃_ss D̃_dd)`.
-    fn renormalize_on_tape(&self, tape: &mut Tape, raw_rel: Var) -> Var {
-        let n = self.n_nodes();
-        let loops = tape.constant(Tensor::ones([n]));
-        let raw_all = tape.concat0(&[raw_rel, loops]);
-        let abs_w = tape.abs(raw_all);
-        let ones_col = tape.constant(Tensor::ones([n, 1]));
-        let deg_col = tape.spmm(&self.edges, abs_w, ones_col); // (N,1): Σ_in |w|
-        let deg = tape.reshape(deg_col, [n]);
-        let deg = tape.clamp_min(deg, DEGREE_EPS);
-        let sqrt_deg = tape.sqrt(deg);
-        let one = tape.constant(Tensor::scalar(1.0));
-        let dinv = tape.div(one, sqrt_deg); // broadcast scalar / (N)
-        let d_src = tape.gather_src(&self.edges, dinv);
-        let d_dst = tape.gather_dst(&self.edges, dinv);
-        let scaled = tape.mul(raw_all, d_src);
-        tape.mul(scaled, d_dst)
-    }
-
     /// Weighted strategy (Eq. 4): `A_ij = 𝒜_ijᵀ w + b`, shared across all
-    /// time-steps, renormalised.
+    /// time-steps, renormalised as one plane of [`Self::renormalize_batched`]
+    /// (unit self-loop weights appended). Returns `(E_total)`.
     pub fn adjacency_weighted(&self, tape: &mut Tape, w: Var, b: Var) -> Var {
         let imp = self.relation_importance(tape, w, b);
-        self.renormalize_on_tape(tape, imp)
+        let imp_row = tape.reshape(imp, [1, self.n_rel_edges]);
+        let loops = tape.constant(Tensor::ones([1, self.n_nodes()]));
+        let raw_all = tape.concat_cols(imp_row, loops);
+        let adj = self.renormalize_batched(tape, raw_all, 1);
+        tape.reshape(adj, [self.edges.len()])
     }
 
     /// Frozen weighted strategy for inference: computes `𝒜ᵀw + b` off-tape
@@ -173,8 +157,10 @@ impl StrategyCtx {
     }
 
     /// Batched renormalisation of `(T, E_total)` raw weights (self-loops
-    /// already appended): per-plane `Ã_sd / √(D̃_ss D̃_dd)` with the abs-degree
-    /// clamp, all planes in single fused kernels.
+    /// already appended), differentiably: `Ã = A + I`, `D̃_ii = Σ_j |Ã_ij|`
+    /// (clamped), output weight per edge `Ã_sd / √(D̃_ss D̃_dd)`, all planes
+    /// in single fused kernels. Each node's in-edges are summed in original
+    /// edge order (the CSR grouping is stable).
     fn renormalize_batched(&self, tape: &mut Tape, raw_all: Var, t: usize) -> Var {
         let n = self.n_nodes();
         let abs_w = tape.abs(raw_all);

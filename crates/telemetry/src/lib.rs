@@ -332,6 +332,13 @@ impl ModelScope {
         ScopeGuard { entered: Arc::clone(&self.inner), _not_send: std::marker::PhantomData }
     }
 
+    /// Flush this scope's cumulative aggregate events into its sink and
+    /// keep the sink open, for a scope that later jobs re-enter. Each flush
+    /// publishes the totals so far; readers keep the last record per name.
+    pub fn flush(&self) {
+        flush_aggregates_for(&self.inner);
+    }
+
     /// Flush this scope's aggregate events into its sink, then close the
     /// sink if it is a file (a memory sink stays installed so tests can
     /// still [`ModelScope::drain_memory_sink`] after finishing).

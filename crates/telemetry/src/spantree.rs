@@ -11,7 +11,7 @@
 //! bytes allocated under a path minus the bytes its direct children already
 //! account for.
 //!
-//! Paths are slash-joined (`seed/fit/epoch/relational/spmm_csr`), and the
+//! Paths are slash-joined (`seed/fit/epoch/relational/spmm_batched`), and the
 //! registry's `BTreeMap` iteration order — lexicographic on the path — *is*
 //! a pre-order traversal of the tree ('/' sorts before every path character
 //! used in span names), so no explicit tree structure is built.

@@ -113,7 +113,7 @@ impl CsrEdges {
     }
 }
 
-/// Forward kernel shared by [`Tape::spmm_csr`] and [`Tape::spmm_batched`]:
+/// Forward kernel of [`Tape::spmm_batched`]:
 /// `out[p, d] += w[p?, e] · x[p, s]` with the weight plane shared when
 /// `plane_stride == 0`.
 fn spmm_csr_forward(
@@ -375,35 +375,6 @@ impl Tape {
         })
     }
 
-    /// [`Tape::spmm`] on a pre-grouped [`CsrEdges`]: same contract
-    /// (`weights: (E)`, `x: (N, F)` → `(N, F)`), same math, but the forward
-    /// gather and both gradient scatters walk the CSR rows instead of the
-    /// edge list. The stable grouping keeps every per-element accumulation
-    /// order identical to the edge-list loop, so results are bit-equal to
-    /// [`Tape::spmm`].
-    pub fn spmm_csr(&mut self, csr: &CsrEdges, weights: Var, x: Var) -> Var {
-        static CALLS: std::sync::OnceLock<rtgcn_telemetry::Counter> = std::sync::OnceLock::new();
-        crate::telemetry_hooks::kernel_counter(&CALLS, "tensor.spmm_csr.calls").inc(1);
-        let _t = rtgcn_telemetry::span("spmm_csr");
-        let wv = self.value(weights);
-        let xv = self.value(x);
-        assert_eq!(wv.numel(), csr.len(), "one weight per edge required");
-        assert_eq!(xv.rank(), 2, "spmm_csr features must be (N, F)");
-        assert_eq!(xv.dims()[0], csr.n(), "feature rows must equal node count");
-        let (n, f) = (csr.n(), xv.dims()[1]);
-        let mut out = Tensor::zeros([n, f]);
-        spmm_csr_forward(csr, wv.data(), 0, xv.data(), 1, f, out.data_mut());
-        let csr = csr.clone();
-        self.push_op_named("spmm_csr", out, vec![weights, x], move |ctx| {
-            let (wd, xd, gd) = (ctx.parents[0].data(), ctx.parents[1].data(), ctx.grad.data());
-            let (gw, gx) = spmm_csr_backward(&csr, wd, 0, xd, gd, 1, f);
-            vec![
-                Tensor::new(ctx.parents[0].shape().clone(), gw),
-                Tensor::new(ctx.parents[1].shape().clone(), gx),
-            ]
-        })
-    }
-
     /// Time-batched propagation — the fused kernel behind the RT-GCN forward
     /// pass: one op aggregates all `P` time planes at once instead of `P`
     /// separate [`Tape::spmm`] nodes.
@@ -435,7 +406,7 @@ impl Tape {
                 );
                 csr.len()
             }
-            // lint:allow(panic-free-hot-paths) weight rank is fixed by the two call sites; anything else is a programming error
+            // lint:allow(panic-free-hot-paths) weight rank is fixed by the call sites; anything else is a programming error
             r => panic!("spmm_batched weights must be (E) or (P, E), got rank {r}"),
         };
         let mut out = Tensor::zeros([p, n, f]);
@@ -742,7 +713,8 @@ mod tests {
     }
 
     #[test]
-    fn spmm_csr_bit_equal_to_edge_list_spmm() {
+    fn spmm_batched_single_plane_bit_equal_to_edge_list_spmm() {
+        // One plane with shared weights: the form RSR and STHAN-SR propagate in.
         let mut next = lcg(3);
         let edges = Edges::new(4, vec![[0, 1], [1, 2], [3, 0], [2, 2], [0, 0], [1, 1], [2, 2], [3, 3]]);
         let csr = CsrEdges::new(edges.clone());
@@ -751,9 +723,11 @@ mod tests {
         let mut tape = Tape::new();
         let (w, x) = (tape.leaf(w0.clone()), tape.leaf(x0.clone()));
         let a = tape.spmm(&edges, w, x);
-        let (w2, x2) = (tape.leaf(w0), tape.leaf(x0));
-        let b = tape.spmm_csr(&csr, w2, x2);
-        assert_eq!(tape.value(a).data(), tape.value(b).data(), "forward bit-equal");
+        let (w2, x2) = (tape.leaf(w0), tape.leaf(x0.reshape([1, 4, 3])));
+        let b = tape.spmm_batched(&csr, w2, x2);
+        let (va, vb) = (tape.value(a).data(), tape.value(b).data());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(va), bits(vb), "forward bit-equal");
         // Gradients bit-equal too: seed both ops with the same upstream grad
         // (backward resets retained grads, so capture between the two runs).
         let sa = tape.sum_all(a);
@@ -761,8 +735,8 @@ mod tests {
         tape.backward(sa);
         let (gw_a, gx_a) = (tape.grad(w).unwrap().clone(), tape.grad(x).unwrap().clone());
         tape.backward(sb);
-        assert_eq!(gw_a.data(), tape.grad(w2).unwrap().data());
-        assert_eq!(gx_a.data(), tape.grad(x2).unwrap().data());
+        assert_eq!(bits(gw_a.data()), bits(tape.grad(w2).unwrap().data()));
+        assert_eq!(bits(gx_a.data()), bits(tape.grad(x2).unwrap().data()));
     }
 
     #[test]

@@ -77,9 +77,7 @@ VERIFY=0
 RESUME=0
 LINT=0
 PROFILE=0
-MONITOR_SMOKE=0
-SERVE_SMOKE=0
-STREAM_SMOKE=0
+SMOKE=
 while [ $# -gt 0 ]; do
   case "$1" in
     --logs)
@@ -96,11 +94,11 @@ while [ $# -gt 0 ]; do
     --profile)
       PROFILE=1; shift ;;
     --monitor-smoke)
-      MONITOR_SMOKE=1; shift ;;
+      SMOKE=monitor; shift ;;
     --serve-smoke)
-      SERVE_SMOKE=1; shift ;;
+      SMOKE=serve; shift ;;
     --stream-smoke)
-      STREAM_SMOKE=1; shift ;;
+      SMOKE=stream; shift ;;
     *)
       echo "error[run_experiments]: unknown flag $1 (usage: [--logs DIR] [--bench-snapshot] [--verify-perf] [--resume] [--lint] [--profile] [--monitor-smoke] [--serve-smoke] [--stream-smoke])" >&2; exit 2 ;;
   esac
@@ -109,96 +107,62 @@ mkdir -p "$R"
 
 B=./target/release
 
-# Scoring-service smoke: train + checkpoint a 1-seed RT-GCN, boot /rank and
-# /score over the monitor server, scrape every endpoint, then load-test with
-# hot-swaps mid-load. Folds the request-latency histograms into
-# results/BENCH_serve.json and diffs against the committed baseline (if
-# present) at the same 1.5x threshold as the table4 perf gate. Shared by
-# the --serve-smoke early exit and the default queue's gate.
-serve_smoke_pass() {
-  S="$R/serve-smoke"
+# One smoke stage: run rtgcn-NAME-smoke (1 seed, EPOCHS epochs, with the
+# ENV assignments) with its logs and stdout capture under $R/NAME-smoke,
+# and fail with exit 5 unless it exits 0 and prints every MARKER. With
+# FOLD=1 the run's telemetry folds into results/BENCH_NAME.json, diffed
+# against results/BENCH_NAME.baseline.json (if present) at the same 1.5x
+# threshold as the table4 perf gate. Prints NAME_SMOKE_OK on success.
+# Usage: smoke NAME EPOCHS ENV FOLD MARKER...
+smoke() {
+  name=$1 epochs=$2 envs=$3 fold=$4
+  shift 4
+  S="$R/$name-smoke"
+  out="$S/${name}_smoke.txt"
+  tag=$(echo "$name" | tr '[:lower:]' '[:upper:]')_SMOKE
   rm -rf "$S"
   mkdir -p "$S"
-  $B/rtgcn-serve-smoke --logs "$S" --seeds 1 --epochs 1 > "$S/serve_smoke.txt" 2>&1 \
-    || { cat "$S/serve_smoke.txt" >&2; echo SERVE_SMOKE_FAIL >&2; exit 5; }
-  grep -q 'serving endpoints healthy' "$S/serve_smoke.txt" \
-    || { echo "SERVE_SMOKE_FAIL: missing healthy marker in $S/serve_smoke.txt" >&2; exit 5; }
-  grep -q 'hot-swap clean' "$S/serve_smoke.txt" \
-    || { echo "SERVE_SMOKE_FAIL: hot-swap marker missing in $S/serve_smoke.txt" >&2; exit 5; }
-  $B/rtgcn-report --logs "$S" --harness serve_smoke \
-    --out results/BENCH_serve.json --md "$S/BENCH_serve.md"
-  if [ -f results/BENCH_serve.baseline.json ]; then
-    $B/rtgcn-report --baseline results/BENCH_serve.baseline.json \
-      results/BENCH_serve.json --threshold 1.5
+  env $envs "$B/rtgcn-$name-smoke" --logs "$S" --seeds 1 --epochs "$epochs" > "$out" 2>&1 \
+    || { cat "$out" >&2; echo "${tag}_FAIL" >&2; exit 5; }
+  for marker in "$@"; do
+    grep -q "$marker" "$out" \
+      || { echo "${tag}_FAIL: missing marker '$marker' in $out" >&2; exit 5; }
+  done
+  if [ "$fold" = 1 ]; then
+    $B/rtgcn-report --logs "$S" --harness "${name}_smoke" \
+      --out "results/BENCH_$name.json" --md "$S/BENCH_$name.md"
+    if [ -f "results/BENCH_$name.baseline.json" ]; then
+      $B/rtgcn-report --baseline "results/BENCH_$name.baseline.json" \
+        "results/BENCH_$name.json" --threshold 1.5
+    fi
   fi
+  echo "${tag}_OK"
 }
 
-# Streaming day-advance smoke: train a 1-seed RT-GCN truncated right before
-# the crash shock, walk it forward day by day through the stream engine
-# (edge add + drop mid-walk, 5-day refit cadence), and demand bitwise
-# parity against a from-scratch rebuild. Folds the walk-forward MRR/IRR
-# gauges and scoring-latency histogram into results/BENCH_stream.json.
-# Shared by the --stream-smoke early exit and the default queue's gate.
-stream_smoke_pass() {
-  S="$R/stream-smoke"
-  rm -rf "$S"
-  mkdir -p "$S"
-  $B/rtgcn-stream-smoke --logs "$S" --seeds 1 --epochs 2 > "$S/stream_smoke.txt" 2>&1 \
-    || { cat "$S/stream_smoke.txt" >&2; echo STREAM_SMOKE_FAIL >&2; exit 5; }
-  grep -q 'streaming parity verified' "$S/stream_smoke.txt" \
-    || { echo "STREAM_SMOKE_FAIL: parity marker missing in $S/stream_smoke.txt" >&2; exit 5; }
-  grep -q 'walk-forward:' "$S/stream_smoke.txt" \
-    || { echo "STREAM_SMOKE_FAIL: walk-forward marker missing in $S/stream_smoke.txt" >&2; exit 5; }
-  $B/rtgcn-report --logs "$S" --harness stream_smoke \
-    --out results/BENCH_stream.json --md "$S/BENCH_stream.md"
-  if [ -f results/BENCH_stream.baseline.json ]; then
-    $B/rtgcn-report --baseline results/BENCH_stream.baseline.json \
-      results/BENCH_stream.json --threshold 1.5
-  fi
-}
+# The three smoke gates (what each proves: see --monitor-smoke,
+# --serve-smoke and --stream-smoke above).
+monitor_smoke() { smoke monitor 1 RTGCN_JOBS=2 0 'all four endpoints healthy'; }
+serve_smoke() { smoke serve 1 '' 1 'serving endpoints healthy' 'hot-swap clean'; }
+stream_smoke() { smoke stream 2 '' 1 'streaming parity verified' 'walk-forward:'; }
+
+# Build once up front — every mode below runs from target/release, and a
+# bare `cargo build` would only build the root package, leaving stale
+# harness binaries behind.
+cargo build --release --workspace
 
 if [ "$LINT" = 1 ]; then
-  # Static-analysis gate only: the same build + clippy + rtgcn-lint
-  # sequence the full queue runs before its harnesses. `set -e` propagates
-  # rtgcn-lint's exit 3 on findings.
-  cargo build --release --workspace
+  # Static-analysis gate only: the same clippy + rtgcn-lint sequence the
+  # full queue runs before its harnesses. `set -e` propagates rtgcn-lint's
+  # exit 3 on findings.
   cargo clippy --workspace --all-targets -- -D warnings
   $B/rtgcn-lint --deny --json results/LINT.json
   echo LINT_OK
   exit 0
 fi
 
-if [ "$MONITOR_SMOKE" = 1 ]; then
-  # Live-observability gate only: the same smoke pass the default queue
-  # runs after lint. The binary defaults RTGCN_MONITOR to 127.0.0.1:0
-  # (ephemeral loopback port) and exits 2 on any endpoint failure.
-  cargo build --release --workspace
-  M="$R/monitor-smoke"
-  rm -rf "$M"
-  mkdir -p "$M"
-  RTGCN_JOBS=2 $B/rtgcn-monitor-smoke --logs "$M" --seeds 1 --epochs 1 > "$M/monitor_smoke.txt" 2>&1 \
-    || { cat "$M/monitor_smoke.txt" >&2; echo MONITOR_SMOKE_FAIL >&2; exit 5; }
-  grep -q 'all four endpoints healthy' "$M/monitor_smoke.txt" \
-    || { echo "MONITOR_SMOKE_FAIL: missing healthy marker in $M/monitor_smoke.txt" >&2; exit 5; }
-  echo MONITOR_SMOKE_OK
-  exit 0
-fi
-
-if [ "$SERVE_SMOKE" = 1 ]; then
-  # Scoring-service gate only: the same pass the default queue runs after
-  # the monitor smoke.
-  cargo build --release --workspace
-  serve_smoke_pass
-  echo SERVE_SMOKE_OK
-  exit 0
-fi
-
-if [ "$STREAM_SMOKE" = 1 ]; then
-  # Streaming-pipeline gate only: the same pass the default queue runs
-  # after the serve smoke.
-  cargo build --release --workspace
-  stream_smoke_pass
-  echo STREAM_SMOKE_OK
+if [ -n "$SMOKE" ]; then
+  # One smoke gate only: the same pass the default queue runs after lint.
+  "${SMOKE}_smoke"
   exit 0
 fi
 
@@ -207,7 +171,6 @@ if [ "$PROFILE" = 1 ]; then
   # tracking allocator on. Keeps the scale small (1 seed, 2 epochs) — the
   # trace buffer grows with span count, and the self-time ranking is about
   # shape, not absolute numbers.
-  cargo build --release --workspace
   P="$R/profile"
   rm -rf "$P"
   mkdir -p "$P"
@@ -225,7 +188,6 @@ fi
 
 if [ "$RESUME" = 1 ]; then
   # Fault-tolerance smoke: a killed harness must resume from its job journal.
-  cargo build --release --workspace
   S="$R/resume-smoke"
   rm -rf "$S"
   mkdir -p "$S"
@@ -257,10 +219,7 @@ if [ "$VERIFY" = 1 ]; then
   # its snapshot against the committed baseline at a 1.25x ratio threshold.
   # A failed diff is re-measured once before failing — single-run noise on
   # the shared single-core box reaches ±40% on fast paths, a genuine kernel
-  # regression reproduces. --workspace matters: a bare `cargo build` only
-  # builds the root package, leaving stale harness binaries in
-  # target/release.
-  cargo build --release --workspace
+  # regression reproduces.
   V="$R/verify-perf"
   attempt=1
   while :; do
@@ -283,10 +242,6 @@ if [ "$VERIFY" = 1 ]; then
   exit 0
 fi
 
-# Build once up front — every harness below (and rtgcn-lint) runs from
-# target/release, and a bare `cargo build` would only build the root
-# package, leaving stale harness binaries behind.
-cargo build --release --workspace
 # Lint gates: the harnesses below silently produce wrong tables if warnings
 # (unused results, lossy casts) or convention violations (NaN-mangling
 # min/max, panicking hot paths) slip in. Offline-safe — all deps are
@@ -299,21 +254,13 @@ $B/rtgcn-lint --deny --json results/LINT.json
 # parity, checkpoint round trips, golden HTTP and hot-swap guard each
 # kernel change before the harnesses spend hours on it.
 cargo test --workspace -q
-# Live-observability smoke: every queue run proves the monitor transport
-# (all four endpoints, ephemeral loopback port) before burning hours on
-# the harnesses it is meant to make watchable.
-M="$R/monitor-smoke"
-rm -rf "$M"
-mkdir -p "$M"
-RTGCN_JOBS=2 $B/rtgcn-monitor-smoke --logs "$M" --seeds 1 --epochs 1 > "$M/monitor_smoke.txt" 2>&1 \
-  || { cat "$M/monitor_smoke.txt" >&2; echo MONITOR_SMOKE_FAIL >&2; exit 5; }
-# Scoring-service smoke: the serving stack (durable checkpoints, hot-swap
-# registry, /rank + /score) must survive a concurrent load test before the
-# queue's long harnesses run.
-serve_smoke_pass
-# Streaming smoke: the day-advance pipeline must stay bit-identical to a
-# batch rebuild (edge mutations, refits and all) on every queue run.
-stream_smoke_pass
+# Smoke gates: every queue run proves the monitor transport, the serving
+# stack (durable checkpoints, hot-swap registry, /rank + /score under load)
+# and the day-advance pipeline's bitwise parity before burning hours on the
+# harnesses.
+monitor_smoke
+serve_smoke
+stream_smoke
 $B/table2_dataset_stats --logs "$R"                    > $R/table2.txt 2>&1
 $B/table3_relation_stats --logs "$R"                   > $R/table3.txt 2>&1
 RTGCN_JOBS=1 $B/table4_baselines --logs "$R" --markets csi    --seeds 3 --epochs 3 > $R/table4_csi.txt 2>&1
