@@ -8,6 +8,9 @@
 //! computed by [`crate::spantree`], same subtraction as self time). The
 //! process-global live/peak counters feed the health monitor's per-epoch
 //! `mem.peak_bytes` gauge and the `alloc.*` counters published at flush.
+//! Allocations of [`LARGE_BYTES`] or more are also counted, per thread
+//! ([`thread_large_allocs`]) and process-wide (`alloc.large`), so a profile
+//! or a test can see large-buffer reuse without reading `/proc`.
 //!
 //! A binary opts in with:
 //!
@@ -35,16 +38,23 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+/// Size from which an allocation counts as large: smaller blocks come back
+/// from malloc's bins, larger ones may come from fresh pages the kernel has
+/// to fault in (the floor `rtgcn-tensor` recycles tape buffers from).
+pub const LARGE_BYTES: usize = 64 * 1024;
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 static TOTAL_ALLOC: AtomicU64 = AtomicU64::new(0);
 static TOTAL_FREED: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
+static LARGE: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_ALLOC: Cell<u64> = const { Cell::new(0) };
     static THREAD_FREED: Cell<u64> = const { Cell::new(0) };
+    static THREAD_LARGE: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Read `RTGCN_ALLOC_STATS` once and enable tracking if it is truthy.
@@ -88,6 +98,17 @@ pub fn peak_live_bytes() -> u64 {
     PEAK.load(Ordering::Relaxed)
 }
 
+/// Process-wide count of allocations of [`LARGE_BYTES`] or more.
+pub fn large_allocs() -> u64 {
+    LARGE.load(Ordering::Relaxed)
+}
+
+/// The calling thread's count of allocations of [`LARGE_BYTES`] or more.
+#[inline]
+pub fn thread_large_allocs() -> u64 {
+    THREAD_LARGE.try_with(Cell::get).unwrap_or(0)
+}
+
 /// Restart the peak high-water mark from the current live level (the health
 /// monitor calls this at each epoch boundary so `mem.peak_bytes` is a
 /// per-epoch, not per-run, peak).
@@ -110,6 +131,10 @@ fn on_alloc(bytes: u64) {
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed).wrapping_add(bytes);
     PEAK.fetch_max(live, Ordering::Relaxed);
     let _ = THREAD_ALLOC.try_with(|c| c.set(c.get().wrapping_add(bytes)));
+    if bytes >= LARGE_BYTES as u64 {
+        LARGE.fetch_add(1, Ordering::Relaxed);
+        let _ = THREAD_LARGE.try_with(|c| c.set(c.get() + 1));
+    }
 }
 
 #[inline]
@@ -191,9 +216,15 @@ mod tests {
     // exercise the counter arithmetic directly.
     #[test]
     fn counters_accumulate_and_peak_tracks_high_water() {
+        let large = thread_large_allocs();
         on_alloc(1000);
         on_free(400);
         on_alloc(200);
+        assert_eq!(thread_large_allocs(), large, "small blocks are not large");
+        on_alloc(LARGE_BYTES as u64);
+        on_free(LARGE_BYTES as u64);
+        assert_eq!(thread_large_allocs(), large + 1);
+        assert!(large_allocs() > large);
         assert!(total_allocated_bytes() >= 1200);
         assert!(total_freed_bytes() >= 400);
         assert!(peak_live_bytes() >= live_bytes());

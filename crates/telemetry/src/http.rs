@@ -19,6 +19,10 @@
 //!
 //! The server is read-only and unauthenticated: bind it to loopback
 //! (anything else logs a `monitor.non_loopback` warning).
+//!
+//! Every request records its phases as histograms: `http.queue_ns` (accept
+//! to connection thread), `http.read_ns` (head and body), `http.handler_ns`
+//! (routing and the handler) and `http.write_ns` (the response).
 
 use crate::{health, spantree};
 use parking_lot::Mutex;
@@ -28,7 +32,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Request head (request line + headers) larger than this gets a 431.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -78,17 +82,22 @@ impl Response {
         }
     }
 
+    /// Send head and body in one write, so the head never waits in its own
+    /// segment for the client's acknowledgement.
     fn write_to(&self, stream: &mut TcpStream) {
-        let head = format!(
+        let mut msg = Vec::with_capacity(128 + self.body.len());
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            msg,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             self.status,
             Self::reason(self.status),
             self.content_type,
             self.body.len()
         );
+        msg.extend_from_slice(self.body.as_bytes());
         // Client may have gone away mid-write; nothing useful to do about it.
-        let _ = stream.write_all(head.as_bytes());
-        let _ = stream.write_all(self.body.as_bytes());
+        let _ = stream.write_all(&msg);
         let _ = stream.flush();
     }
 }
@@ -310,52 +319,72 @@ fn content_length(head: &str) -> Result<usize, ()> {
     Ok(0)
 }
 
-/// Read the remaining `want` body bytes beyond what `leftover` already
-/// holds. `None` on disconnect/timeout mid-body.
-fn read_body(stream: &mut TcpStream, mut leftover: Vec<u8>, want: usize) -> Option<Vec<u8>> {
-    let mut chunk = [0u8; 4096];
-    while leftover.len() < want {
-        match stream.read(&mut chunk) {
-            Ok(0) => return None,
-            Ok(n) => leftover.extend_from_slice(&chunk[..n]),
-            Err(_) => return None,
-        }
-    }
-    leftover.truncate(want);
-    Some(leftover)
+/// The `want`-byte body: the bytes that arrived with the head, then the
+/// rest read straight into a buffer reserved once at the declared length
+/// (already capped at [`MAX_BODY_BYTES`]). `None` on disconnect/timeout
+/// mid-body.
+fn read_body(stream: &mut TcpStream, mut body: Vec<u8>, want: usize) -> Option<Vec<u8>> {
+    body.truncate(want);
+    body.reserve_exact(want - body.len());
+    let rest = (want - body.len()) as u64;
+    Read::take(&mut *stream, rest).read_to_end(&mut body).ok()?;
+    (body.len() == want).then_some(body)
 }
 
-fn handle_connection(mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let (head, leftover) = match read_head(&mut stream) {
+/// Read and parse one request. `Err(Some(reply))` for a request the server
+/// refuses; `Err(None)` when the client went away (or timed out) before
+/// the request was complete, so nobody is listening for a reply.
+fn read_request(stream: &mut TcpStream) -> Result<Request, Option<Response>> {
+    let (head, leftover) = match read_head(stream) {
         Ok(h) => h,
         Err(HeadError::TooLarge) => {
-            Response::text(431, "request head exceeds 8 KiB\n").write_to(&mut stream);
-            return;
+            return Err(Some(Response::text(431, "request head exceeds 8 KiB\n")))
         }
-        // Premature disconnect / timeout: no one is listening for a reply.
-        Err(HeadError::Disconnect) => return,
+        Err(HeadError::Disconnect) => return Err(None),
     };
-    let resp = match parse_request_line(&head) {
+    match parse_request_line(&head) {
         Some((method, target)) if method == "GET" || method == "POST" => {
             let (path, query) = split_target(&target);
             match content_length(&head) {
-                Err(()) => Response::text(400, "unparseable Content-Length\n"),
+                Err(()) => Err(Some(Response::text(400, "unparseable Content-Length\n"))),
                 Ok(len) if len > MAX_BODY_BYTES => {
-                    Response::text(413, "request body exceeds 4 MiB\n")
+                    Err(Some(Response::text(413, "request body exceeds 4 MiB\n")))
                 }
-                Ok(len) => match read_body(&mut stream, leftover, len) {
-                    // Disconnect mid-body: nobody is listening for a reply.
-                    None => return,
-                    Some(body) => dispatch(&Request { method, path, query, body }),
-                },
+                Ok(len) => {
+                    let body = read_body(stream, leftover, len).ok_or(None)?;
+                    Ok(Request { method, path, query, body })
+                }
             }
         }
-        Some(_) => Response::text(405, "only GET and POST are supported\n"),
-        None => Response::text(400, "malformed request line\n"),
+        Some(_) => Err(Some(Response::text(405, "only GET and POST are supported\n"))),
+        None => Err(Some(Response::text(400, "malformed request line\n"))),
+    }
+}
+
+fn ns_since(t: Instant) -> u64 {
+    t.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// Serve one connection accepted at `accepted`, recording its phases.
+fn handle_connection(mut stream: TcpStream, accepted: Instant) {
+    crate::record_ns("http.queue_ns", ns_since(accepted));
+    let read = Instant::now();
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    let resp = match read_request(&mut stream) {
+        Ok(req) => {
+            crate::record_ns("http.read_ns", ns_since(read));
+            let handler = Instant::now();
+            let resp = dispatch(&req);
+            crate::record_ns("http.handler_ns", ns_since(handler));
+            resp
+        }
+        Err(Some(refusal)) => refusal,
+        Err(None) => return,
     };
+    let write = Instant::now();
     resp.write_to(&mut stream);
+    crate::record_ns("http.write_ns", ns_since(write));
 }
 
 // ---------------------------------------------------------------- server
@@ -386,6 +415,7 @@ impl Server {
                         break;
                     }
                     let Ok(mut stream) = conn else { continue };
+                    let accepted = Instant::now();
                     if inflight.load(Ordering::SeqCst) >= MAX_INFLIGHT {
                         // Shed load in the accept thread itself rather than
                         // queueing unboundedly behind slow scrapers.
@@ -399,7 +429,7 @@ impl Server {
                     let spawned = std::thread::Builder::new()
                         .name("rtgcn-monitor-conn".to_string())
                         .spawn(move || {
-                            handle_connection(stream);
+                            handle_connection(stream, accepted);
                             conn_inflight.fetch_sub(1, Ordering::SeqCst);
                         });
                     if spawned.is_err() {

@@ -768,7 +768,14 @@ impl Histogram {
 pub fn histogram(name: &str) -> Arc<Histogram> {
     with_registry(|r| {
         let mut map = r.hists.lock();
-        Arc::clone(map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new())))
+        match map.get(name) {
+            Some(h) => Arc::clone(h),
+            None => {
+                let h = Arc::new(Histogram::new());
+                map.insert(name.to_string(), Arc::clone(&h));
+                h
+            }
+        }
     })
 }
 
@@ -960,6 +967,7 @@ fn publish_alloc_counters_for(scope: &ScopeInner) {
         ("alloc.bytes_allocated", allocated),
         ("alloc.bytes_freed", freed),
         ("alloc.peak_live_bytes", alloc::peak_live_bytes()),
+        ("alloc.large", alloc::large_allocs()),
     ] {
         counters.entry(name.to_string()).or_default().store(value, Ordering::Relaxed);
     }

@@ -15,6 +15,7 @@ fn enabled_tracking_attributes_bytes_to_the_active_span() {
     let _g = tel::test_scope(tel::Level::Summary);
     tel::alloc::set_tracking(true);
     tel::alloc::reset_peak();
+    let large = tel::alloc::thread_large_allocs();
     {
         let _s = tel::span("alloc_work");
         let v: Vec<u8> = vec![0u8; MB as usize];
@@ -25,6 +26,8 @@ fn enabled_tracking_attributes_bytes_to_the_active_span() {
         let w: Vec<u8> = vec![0u8; (MB / 2) as usize];
         std::hint::black_box(&w);
     }
+    // Both blocks are large; the span bookkeeping around them is not.
+    assert_eq!(tel::alloc::thread_large_allocs() - large, 2, "one count per large block");
     tel::flush_aggregates();
     let aggs = tel::spantree::snapshot_current();
     let outer = aggs.iter().find(|a| a.path == "alloc_work").expect("outer span");
@@ -40,6 +43,7 @@ fn enabled_tracking_attributes_bytes_to_the_active_span() {
     assert!(tel::counter_value("alloc.bytes_freed") >= MB);
     assert!(tel::counter_value("alloc.peak_live_bytes") > 0);
     assert!(tel::alloc::peak_live_bytes() >= MB, "peak missed the 1MiB burst");
+    assert!(tel::counter_value("alloc.large") >= 2);
     // The summary gains the self-alloc column while tracking is on.
     assert!(tel::render_summary().contains("self-alloc"));
     tel::alloc::set_tracking(false);
@@ -80,4 +84,19 @@ fn disabled_tracking_records_nothing() {
     tel::flush_aggregates();
     assert_eq!(tel::counter_value("alloc.bytes_allocated"), 0);
     assert!(!tel::render_summary().contains("self-alloc"));
+}
+
+#[test]
+fn recording_into_an_existing_histogram_allocates_nothing() {
+    let _g = tel::test_scope(tel::Level::Summary);
+    tel::alloc::set_tracking(true);
+    tel::record_ns("probe.latency_ns", 1_000);
+    let (before, _) = tel::alloc::thread_counters();
+    for ns in [10, 1_000, 1_000_000] {
+        tel::record_ns("probe.latency_ns", ns);
+    }
+    let (after, _) = tel::alloc::thread_counters();
+    tel::alloc::set_tracking(false);
+    assert_eq!(after - before, 0, "a sample into an existing histogram allocated");
+    assert_eq!(tel::histogram("probe.latency_ns").count(), 4);
 }

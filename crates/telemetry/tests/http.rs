@@ -12,6 +12,8 @@ use proptest::prelude::*;
 use rtgcn_telemetry as tel;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn start() -> tel::http::Server {
@@ -157,6 +159,78 @@ fn premature_disconnect_leaves_server_serving() {
     let _g = tel::test_scope(tel::Level::Summary);
     let resp = get(&server, "/metrics");
     assert_eq!(status_of(&resp), 200, "server must survive disconnects: {resp}");
+}
+
+/// Register `path` as a route that replies with the request body; the
+/// returned counter counts its calls.
+fn echo_route(path: &str) -> Arc<AtomicUsize> {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&calls);
+    tel::http::register_route(path, move |req| {
+        counted.fetch_add(1, Ordering::SeqCst);
+        tel::http::Response::text(200, req.body_str().unwrap_or("<not utf-8>"))
+    });
+    calls
+}
+
+#[test]
+fn a_body_sent_one_byte_per_write_arrives_intact() {
+    echo_route("/echo-bytewise");
+    let server = start();
+    let body: String = (0..600).map(|i| char::from(b'a' + (i % 26) as u8)).collect();
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let head = format!("POST /echo-bytewise HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len());
+    stream.write_all(head.as_bytes()).unwrap();
+    for b in body.bytes() {
+        stream.write_all(&[b]).unwrap();
+    }
+    let mut resp = String::new();
+    let _ = stream.read_to_string(&mut resp);
+    assert_eq!(status_of(&resp), 200, "{resp}");
+    assert_eq!(body_of(&resp), body);
+}
+
+#[test]
+fn a_short_body_then_a_hang_up_gets_no_reply() {
+    let calls = echo_route("/echo-short");
+    let server = start();
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream
+        .write_all(b"POST /echo-short HTTP/1.1\r\nContent-Length: 100\r\n\r\nonly ten b")
+        .unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut resp = String::new();
+    let _ = stream.read_to_string(&mut resp);
+    assert_eq!(resp, "", "a truncated request must not be answered");
+    assert_eq!(calls.load(Ordering::SeqCst), 0, "the handler must not run");
+}
+
+/// Sample count of a histogram in the root scope, where connection threads
+/// record (a fresh thread has entered no scope).
+fn root_histogram_count(name: &'static str) -> u64 {
+    std::thread::spawn(move || tel::histogram(name).count()).join().unwrap()
+}
+
+#[test]
+fn every_request_records_its_phases() {
+    let _g = tel::test_scope(tel::Level::Summary);
+    let before = root_histogram_count("http.write_ns");
+    let server = start();
+    let resp = get(&server, "/nope");
+    assert_eq!(status_of(&resp), 404, "{resp}");
+    // The connection thread records the write phase after replying.
+    for _ in 0..200 {
+        if root_histogram_count("http.write_ns") > before {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for phase in ["http.queue_ns", "http.read_ns", "http.handler_ns", "http.write_ns"] {
+        assert!(root_histogram_count(phase) >= 1, "{phase} has no sample");
+    }
 }
 
 #[test]

@@ -15,6 +15,7 @@
 //!   tape each step; [`optim`] consumes the accumulated gradients.
 //! - [`linalg`] — raw (non-differentiable) matmul kernels shared by ops.
 //! - [`init`] — seeded Xavier/Kaiming/uniform/normal initialisers.
+//! - [`spares`] — large buffers of a dropped tape, reused by the next one.
 //!
 //! ## Example
 //!
@@ -45,6 +46,7 @@ pub mod ops;
 pub mod optim;
 pub mod param;
 pub mod shape;
+pub mod spares;
 pub mod tape;
 mod telemetry_hooks;
 pub mod tensor;

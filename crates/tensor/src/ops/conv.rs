@@ -9,6 +9,7 @@
 //! the paper describes.
 
 use super::shape_ops::permute3_slice;
+use crate::spares;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -89,7 +90,7 @@ impl ConvGeom {
         let (k, dil, stride) = (spec.kernel, spec.dilation, spec.stride);
         // Row `ci·k + j` holds tap `j` of input channel `ci` for every filter.
         let panel = permute3_slice(w, [1, c_out, c_in * k], [0, 2, 1]);
-        let mut out = vec![0.0f32; b * c_out * l_out];
+        let mut out = spares::filled(b * c_out * l_out, 0.0);
         let mut acc_rows = vec![0.0f32; STEPS * c_out];
         for bi in 0..b {
             let mut t = 0;
@@ -173,7 +174,7 @@ impl ConvGeom {
         // summed it in, accumulated time-major `(B, L, C_in)` against a
         // `(C_out, k, C_in)` weight panel.
         let wt = permute3_slice(w, [c_out, c_in, k], [0, 2, 1]);
-        let mut gx_t = vec![0.0f32; b * l * c_in];
+        let mut gx_t = spares::filled(b * l * c_in, 0.0);
         for bi in 0..b {
             for co in 0..c_out {
                 let grow = &g[(bi * c_out + co) * l_out..][..l_out];

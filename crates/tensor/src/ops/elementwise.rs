@@ -2,6 +2,7 @@
 //! ops) recorded on a [`Tape`].
 
 use crate::shape::Shape;
+use crate::spares;
 use crate::tape::{BackwardCtx, Tape, Var};
 use crate::tensor::Tensor;
 
@@ -66,8 +67,8 @@ fn binary_grads(
     let n = a.numel();
     let (ad, bd, od, g) =
         (a.data(), &b.data()[..n], &ctx.output.data()[..n], &ctx.grad.data()[..n]);
-    let mut ga = vec![0.0; n];
-    let mut gb = vec![0.0; n];
+    let mut ga = spares::filled(n, 0.0);
+    let mut gb = spares::filled(n, 0.0);
     for i in 0..n {
         ga[i] = g[i] * dfa(ad[i], bd[i], od[i]);
         gb[i] = g[i] * dfb(ad[i], bd[i], od[i]);
@@ -85,7 +86,8 @@ where
     let out = tape.value(x).map(fwd);
     tape.push_op_named(name, out, vec![x], move |ctx| {
         let (xd, yd, g) = (ctx.parents[0].data(), ctx.output.data(), ctx.grad.data());
-        let data = xd.iter().zip(yd).zip(g).map(|((&x, &y), &g)| g * df(x, y)).collect();
+        let mut data = spares::with_capacity(xd.len());
+        data.extend(xd.iter().zip(yd).zip(g).map(|((&x, &y), &g)| g * df(x, y)));
         vec![Tensor::new(ctx.parents[0].shape().clone(), data)]
     })
 }

@@ -109,7 +109,7 @@ impl Tape {
         assert_eq!(bv.rank(), 2, "concat_cols expects matrices");
         assert_eq!(av.dims()[0], bv.dims()[0], "concat_cols row-count mismatch");
         let (rows, x, y) = (av.dims()[0], av.dims()[1], bv.dims()[1]);
-        let mut data = Vec::with_capacity(rows * (x + y));
+        let mut data = crate::spares::with_capacity(rows * (x + y));
         for r in 0..rows {
             data.extend_from_slice(&av.data()[r * x..(r + 1) * x]);
             data.extend_from_slice(&bv.data()[r * y..(r + 1) * y]);

@@ -160,7 +160,7 @@ fn spmm_csr_backward(
     let n = csr.n();
     let e_count = csr.len();
     let pairs = &csr.edges.pairs;
-    let mut gw = vec![0.0f32; wd.len()];
+    let mut gw = crate::spares::filled(wd.len(), 0.0);
     if plane_stride == 0 {
         // Shared weights: one entry per edge, planes accumulated inside.
         for (g, &[s, d]) in gw.iter_mut().zip(pairs.iter()) {
@@ -187,7 +187,7 @@ fn spmm_csr_backward(
             *g = acc;
         }
     }
-    let mut gx = vec![0.0f32; xd.len()];
+    let mut gx = crate::spares::filled(xd.len(), 0.0);
     for r in 0..planes * n {
         let (p, s) = (r / n, r % n);
         let row = &mut gx[r * f..(r + 1) * f];
@@ -454,7 +454,7 @@ impl Tape {
         let pairs = Arc::clone(&edges.pairs);
         self.push_op_named("edge_dot_batched", out, vec![x], move |ctx| {
             let (xd, gd) = (ctx.parents[0].data(), ctx.grad.data());
-            let mut gx = vec![0.0f32; xd.len()];
+            let mut gx = crate::spares::filled(xd.len(), 0.0);
             for pi in 0..p {
                 let plane = &xd[pi * n * f..(pi + 1) * n * f];
                 let grow = &mut gx[pi * n * f..(pi + 1) * n * f];
@@ -492,7 +492,7 @@ impl Tape {
         assert_eq!(n, edges.n, "per-node vector length mismatch");
         let e_count = edges.len();
         let vd = vv.data();
-        let mut out = Vec::with_capacity(p * e_count);
+        let mut out = crate::spares::with_capacity(p * e_count);
         for pi in 0..p {
             let plane = &vd[pi * n..(pi + 1) * n];
             out.extend(edges.pairs.iter().map(|pair| plane[pair[which]]));

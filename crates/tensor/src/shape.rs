@@ -175,7 +175,7 @@ fn walk_from(
 /// order: a broadcast when `strides` come from [`broadcast_strides`], a
 /// permutation when they are `data`'s own strides reordered.
 pub(crate) fn gather(data: &[f32], dims: &[usize], strides: &[usize]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(dims.iter().product());
+    let mut out = crate::spares::with_capacity(dims.iter().product());
     walk(dims, strides, |base, n, s| out.extend((0..n).map(|k| data[base + k * s])));
     out
 }

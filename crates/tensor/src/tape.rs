@@ -16,6 +16,9 @@
 //! - Gradients for *every* node are retained after `backward`, so callers can
 //!   inspect intermediate gradients (used by the adversarial-LSTM baseline to
 //!   perturb its latent representation).
+//! - A new tape claims the spare set of [`crate::spares`]; dropping or
+//!   clearing it hands its large value and gradient buffers back, where the
+//!   next tape's kernels pick them up.
 
 use crate::tensor::Tensor;
 
@@ -52,15 +55,22 @@ struct Node {
 }
 
 /// A single forward pass's computation graph.
-#[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
     grads: Vec<Option<Tensor>>,
 }
 
+impl Default for Tape {
+    fn default() -> Self {
+        Tape::new()
+    }
+}
+
 impl Tape {
+    /// An empty tape, which claims the spare buffers the last tape left.
     pub fn new() -> Self {
-        Tape::default()
+        crate::spares::claim();
+        Tape { nodes: Vec::new(), grads: Vec::new() }
     }
 
     /// Number of recorded nodes.
@@ -204,10 +214,24 @@ impl Tape {
         self.grads = grads;
     }
 
-    /// Drop all recorded nodes and gradients, keeping allocations.
+    /// Drop all recorded nodes and gradients, keeping the arena's
+    /// allocation; the tape then starts over as if new.
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.grads.clear();
+        self.release();
+        crate::spares::claim();
+    }
+
+    /// Hand the large value and gradient buffers to the spare set.
+    fn release(&mut self) {
+        let values = self.nodes.drain(..).map(|node| node.value.into_data());
+        let grads = self.grads.drain(..).flatten().map(Tensor::into_data);
+        crate::spares::recycle(values.chain(grads));
+    }
+}
+
+impl Drop for Tape {
+    fn drop(&mut self) {
+        self.release();
     }
 }
 

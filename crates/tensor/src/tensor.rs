@@ -2,16 +2,24 @@
 //!
 //! Data is stored contiguously in row-major order. All autodiff machinery
 //! operates on plain `Tensor` values (see [`crate::tape`]); `Tensor` itself is
-//! a value type with no graph bookkeeping.
+//! a value type with no graph bookkeeping. Large buffers are taken from
+//! [`crate::spares`] when one of the right size is held.
 
 use crate::shape::{broadcast_strides, gather, walk, Shape};
+use crate::spares;
 use std::fmt;
 
 /// A dense, row-major `f32` tensor.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor { shape: self.shape.clone(), data: spares::copied(&self.data) }
+    }
 }
 
 impl Tensor {
@@ -32,8 +40,7 @@ impl Tensor {
     /// All-zeros tensor.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
-        let n = shape.numel();
-        Tensor { shape, data: vec![0.0; n] }
+        Tensor { data: spares::filled(shape.numel(), 0.0), shape }
     }
 
     /// All-ones tensor.
@@ -44,8 +51,7 @@ impl Tensor {
     /// Tensor filled with a constant.
     pub fn full(shape: impl Into<Shape>, v: f32) -> Self {
         let shape = shape.into();
-        let n = shape.numel();
-        Tensor { shape, data: vec![v; n] }
+        Tensor { data: spares::filled(shape.numel(), v), shape }
     }
 
     /// Rank-0 scalar.
@@ -165,7 +171,7 @@ impl Tensor {
             "reshape {:?} -> {shape} changes element count",
             self.shape
         );
-        Tensor { shape, data: self.data.clone() }
+        Tensor { shape, data: spares::copied(&self.data) }
     }
 
     /// In-place reshape (no data movement).
@@ -177,16 +183,17 @@ impl Tensor {
 
     /// Map every element through `f`.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }
+        let mut data = spares::with_capacity(self.numel());
+        data.extend(self.data.iter().map(|&x| f(x)));
+        Tensor { shape: self.shape.clone(), data }
     }
 
     /// Zip two same-shaped tensors elementwise.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.shape, other.shape, "zip requires identical shapes");
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect(),
-        }
+        let mut data = spares::with_capacity(self.numel());
+        data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
+        Tensor { shape: self.shape.clone(), data }
     }
 
     /// Elementwise in-place accumulate: `self += other`. Shapes must match.
