@@ -1,8 +1,8 @@
 //! Monitor smoke harness (`run_experiments.sh --monitor-smoke`): run a
 //! tiny 1-model roster with the live observability server enabled, then
-//! scrape `/metrics`, `/healthz`, `/runs`, and `/spans` over a raw
-//! `std::net::TcpStream` (no curl dependency) and fail on any non-200
-//! status or unparseable body. Defaults `RTGCN_MONITOR` to `127.0.0.1:0`
+//! scrape `/metrics`, `/healthz`, `/runs`, and `/spans` with
+//! [`rtgcn_telemetry::http::roundtrip`] (no curl dependency) and fail on
+//! any non-200 status or unparseable body. Defaults `RTGCN_MONITOR` to `127.0.0.1:0`
 //! so the gate never collides with a user's pinned port.
 
 // Opt-in allocation tracking (RTGCN_ALLOC_STATS=1) needs the tracking
@@ -13,30 +13,12 @@ use rtgcn_bench::{evaluate_roster, harness_error, HarnessArgs, RunnerConfig, Spe
 use rtgcn_baselines::CommonConfig;
 use rtgcn_core::Strategy;
 use rtgcn_market::{Market, RelationKind, Scale, StockDataset, UniverseSpec};
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
 
 const HARNESS: &str = "monitor_smoke";
 
 fn scrape(addr: std::net::SocketAddr, path: &str) -> Result<(u16, String), String> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .map_err(|e| format!("set timeout: {e}"))?;
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: monitor\r\n\r\n").as_bytes())
-        .map_err(|e| format!("write {path}: {e}"))?;
-    let mut resp = String::new();
-    stream.read_to_string(&mut resp).map_err(|e| format!("read {path}: {e}"))?;
-    let status: u16 = resp
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("{path}: no HTTP status line in {resp:?}"))?;
-    let body = resp.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    Ok((status, body))
+    let raw = format!("GET {path} HTTP/1.1\r\nHost: monitor\r\n\r\n");
+    rtgcn_telemetry::http::roundtrip(addr, raw.as_bytes()).map_err(|e| format!("{path}: {e}"))
 }
 
 fn check_endpoint(addr: std::net::SocketAddr, path: &str) -> Result<(), String> {

@@ -10,8 +10,6 @@ use rtgcn_bench::{evaluate_roster, monitor, ModelRow, RunnerConfig, Spec};
 use rtgcn_core::Strategy;
 use rtgcn_market::{Market, RelationKind, Scale, StockDataset, UniverseSpec};
 use rtgcn_telemetry as tel;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 fn tiny_ds() -> StockDataset {
@@ -43,20 +41,8 @@ fn cfg_with_jobs(jobs: usize) -> RunnerConfig {
 }
 
 fn scrape(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to monitor");
-    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-        .expect("write request");
-    let mut resp = String::new();
-    let _ = stream.read_to_string(&mut resp);
-    let status = resp
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {resp:?}"));
-    let body = resp.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, body)
+    let raw = format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n");
+    tel::http::roundtrip(addr, raw.as_bytes()).unwrap_or_else(|e| panic!("GET {path}: {e}"))
 }
 
 /// Everything but wall-clock must match bit-for-bit between the monitored

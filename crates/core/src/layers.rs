@@ -48,32 +48,29 @@ impl RelationalConv {
     /// The strategy's edge weights for one window (Eqs. 3–5), aligned with
     /// `ctx.edges` (relation edges then self-loops): `(E)` shared by every
     /// plane for Uniform and Weighted, `(T, E)` one row per plane for
-    /// TimeSensitive. `training` selects the on-tape (differentiable)
-    /// adjacency for the Weighted strategy; at inference it goes through
-    /// [`NormalizedAdjCache::normalized_frozen`](rtgcn_graph::NormalizedAdjCache::normalized_frozen)
-    /// instead, so repeated scoring renormalises once per parameter vector.
+    /// TimeSensitive. Always built on the tape, in training and inference
+    /// alike. `corr` is an optional precomputed Eq. 5 correlation of `x3`
+    /// (see [`StrategyCtx::adjacency_time_sensitive_batched`]); the other
+    /// strategies do not read it.
     pub(crate) fn adjacency(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         ctx: &StrategyCtx,
         x3: Var,
-        training: bool,
+        corr: Option<&Tensor>,
     ) -> Var {
         match self.strategy {
-            Strategy::Uniform => tape.constant(Tensor::from_vec(ctx.cache.uniform().as_ref().clone())),
-            Strategy::Weighted if training => {
+            Strategy::Uniform => tape.constant(Tensor::from_vec(ctx.cache.uniform().to_vec())),
+            Strategy::Weighted => {
                 let w = store.bind(tape, self.w_rel);
                 let b = store.bind(tape, self.b_rel);
                 ctx.adjacency_weighted(tape, w, b)
             }
-            Strategy::Weighted => {
-                ctx.adjacency_weighted_frozen(tape, store.value(self.w_rel), store.value(self.b_rel))
-            }
             Strategy::TimeSensitive => {
                 let w = store.bind(tape, self.w_rel);
                 let b = store.bind(tape, self.b_rel);
-                ctx.adjacency_time_sensitive_batched(tape, w, b, x3)
+                ctx.adjacency_time_sensitive_batched(tape, w, b, x3, corr)
             }
         }
     }
@@ -81,19 +78,20 @@ impl RelationalConv {
     /// Forward over all time-steps at once: `x3` is the full `(T, N, C)`
     /// window, the result `(T, N, F)`. All planes share one
     /// `(T·N, C) × (C, F)` matmul per weight matrix and one batched
-    /// propagation through the cached CSR layout.
+    /// propagation through the cached CSR layout. `corr` as in
+    /// [`Self::adjacency`].
     pub fn forward(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         ctx: &StrategyCtx,
         x3: Var,
-        training: bool,
+        corr: Option<&Tensor>,
     ) -> Var {
         let dims = tape.value(x3).dims().to_vec();
         let (t, n, c) = (dims[0], dims[1], dims[2]);
         let out_dim = store.value(self.theta).dims()[1];
-        let adj = self.adjacency(tape, store, ctx, x3, training);
+        let adj = self.adjacency(tape, store, ctx, x3, corr);
         let theta_self = store.bind(tape, self.theta_self);
         let theta = store.bind(tape, self.theta);
         let x2 = tape.reshape(x3, [t * n, c]);
@@ -205,17 +203,14 @@ mod tests {
         let data: Vec<f32> =
             (0..t * n * d).map(|i| ((i * 31 + 7) % 23) as f32 / 23.0 - 0.4).collect();
         for strategy in Strategy::ALL {
-            for training in [false, true] {
-                let mut store = ParamStore::new();
-                let mut rng = init::rng(1);
-                let conv = RelationalConv::new(&mut store, "rc", d, 5, 2, strategy, &mut rng);
-                let mut tape = Tape::new();
-                let x3 = tape.constant(Tensor::new([t, n, d], data.clone()));
-                let z = conv.forward(&mut tape, &store, &ctx3(), x3, training);
-                assert_eq!(tape.value(z).dims(), &[t, n, 5], "{strategy:?}");
-                assert!(!tape.value(z).has_non_finite(), "{strategy:?}");
-                store.clear_bindings();
-            }
+            let mut store = ParamStore::new();
+            let mut rng = init::rng(1);
+            let conv = RelationalConv::new(&mut store, "rc", d, 5, 2, strategy, &mut rng);
+            let mut tape = Tape::new();
+            let x3 = tape.constant(Tensor::new([t, n, d], data.clone()));
+            let z = conv.forward(&mut tape, &store, &ctx3(), x3, None);
+            assert_eq!(tape.value(z).dims(), &[t, n, 5], "{strategy:?}");
+            assert!(!tape.value(z).has_non_finite(), "{strategy:?}");
         }
     }
 
@@ -229,7 +224,7 @@ mod tests {
         let run = |x: Vec<f32>| -> Tensor {
             let mut tape = Tape::new();
             let xv = tape.constant(Tensor::new([1, 3, 2], x));
-            let z = conv.forward(&mut tape, &store, &ctx, xv, false);
+            let z = conv.forward(&mut tape, &store, &ctx, xv, None);
             store.clear_bindings();
             tape.value(z).reshape([3, 3])
         };

@@ -52,16 +52,16 @@ impl RtGcn {
 
     /// Like [`RtGcn::new`] but sharing a prebuilt normalised-adjacency
     /// layout (see [`rtgcn_graph::SharedAdjCache`]): the CSR grouping and
-    /// uniform weights are `Arc`-shared with `cache`, while this model gets
-    /// its own frozen-adjacency memo slot. The serving registry uses this
-    /// so concurrent workers over one market never duplicate the layout.
+    /// uniform weights are `Arc`-shared with `cache`. The serving registry
+    /// uses this so concurrent workers over one market never duplicate the
+    /// layout.
     pub fn with_shared_cache(
         config: RtGcnConfig,
         relations: &RelationTensor,
         cache: &rtgcn_graph::SharedAdjCache,
         seed: u64,
     ) -> Self {
-        let ctx = StrategyCtx::with_cache(relations, cache.fork_layout());
+        let ctx = StrategyCtx::with_cache(relations, std::sync::Arc::clone(cache));
         RtGcn::build(config, relations, ctx, seed)
     }
 
@@ -136,7 +136,19 @@ impl RtGcn {
     /// stays a rank-3 `(T, N, C)` tensor end to end: one batched propagation
     /// and two `(T·N, C)` matmuls per relational layer, permutes (no
     /// per-plane slicing) around the TCN.
-    pub fn forward(&mut self, tape: &mut Tape, x: &Tensor, training: bool) -> Var {
+    ///
+    /// `corr` is an optional precomputed `(T, E_rel)` time-sensitive
+    /// correlation factor of `x` over `self.ctx.rel_edges` (the streaming
+    /// engine's per-plane cache). Only the first relational layer reads the
+    /// raw window, so only it receives `corr`; it must be exactly what that
+    /// layer would compute, and a wrong shape panics.
+    pub fn forward(
+        &mut self,
+        tape: &mut Tape,
+        x: &Tensor,
+        training: bool,
+        corr: Option<&Tensor>,
+    ) -> Var {
         self.check_input(x);
         let n = self.n_stocks;
         let mut cur = tape.constant(x.clone()); // (T, N, C)
@@ -145,7 +157,8 @@ impl RtGcn {
             if self.config.use_relational {
                 let _span = rtgcn_telemetry::span("relational");
                 let t = Instant::now();
-                cur = self.rel_convs[rel_i].forward(tape, &self.store, &self.ctx, cur, training);
+                let corr = if rel_i == 0 { corr } else { None };
+                cur = self.rel_convs[rel_i].forward(tape, &self.store, &self.ctx, cur, corr);
                 rtgcn_telemetry::record_ns("kernel.gcn.relational_ns", elapsed_ns(t));
                 rel_i += 1;
             }
@@ -170,23 +183,16 @@ impl RtGcn {
 
     /// Inference: ranking scores as a plain vector.
     pub fn score(&mut self, x: &Tensor) -> Vec<f32> {
-        let mut tape = Tape::new();
-        let s = self.forward(&mut tape, x, false);
-        let out = tape.value(s).data().to_vec();
-        self.store.clear_bindings();
-        out
+        self.score_with_corr(x, None)
     }
 
-    /// Inference with a precomputed time-sensitive correlation factor
-    /// (`(T, E_rel)`, from the streaming engine's per-plane cache): installs
-    /// it as the strategy's override for the duration of one forward, then
-    /// clears it. Callers guarantee `corr` was computed for exactly this
-    /// window — [`StrategyCtx`] falls back to the exact path on any dim
-    /// mismatch.
-    pub fn score_with_corr(&mut self, x: &Tensor, corr: &Tensor) -> Vec<f32> {
-        self.ctx.corr_override = Some(corr.clone());
-        let out = self.score(x);
-        self.ctx.corr_override = None;
+    /// Inference with an optional precomputed time-sensitive correlation
+    /// factor for the first relational layer (see [`Self::forward`]).
+    pub fn score_with_corr(&mut self, x: &Tensor, corr: Option<&Tensor>) -> Vec<f32> {
+        let mut tape = Tape::new();
+        let s = self.forward(&mut tape, x, false, corr);
+        let out = tape.value(s).data().to_vec();
+        self.store.clear_bindings();
         out
     }
 
@@ -231,7 +237,7 @@ impl RtGcn {
     /// the pre-clip global gradient L2 norm.
     pub fn train_step_stats(&mut self, x: &Tensor, y: &Tensor, opt: &mut dyn Optimizer) -> StepStats {
         let mut tape = Tape::new();
-        let scores = self.forward(&mut tape, x, true);
+        let scores = self.forward(&mut tape, x, true, None);
         let (loss, loss_val, mse, rank) = {
             let _span = rtgcn_telemetry::span("loss");
             let (loss, mse, rank) = tape.combined_rank_loss_parts(scores, y, self.config.alpha);
@@ -256,7 +262,7 @@ impl RtGcn {
         self.store.value_norm()
     }
 
-    /// Snapshot of the first relational layer's inference adjacency for
+    /// Snapshot of the first relational layer's adjacency for
     /// introspection (Figure 8 case study): one weight vector per time-step,
     /// aligned with `self.ctx.edges` (relation edges then self-loops).
     /// Uniform/Weighted return a single shared snapshot; empty when the
@@ -268,7 +274,7 @@ impl RtGcn {
         };
         let mut tape = Tape::new();
         let x3 = tape.constant(x.clone());
-        let adj = conv.adjacency(&mut tape, &self.store, &self.ctx, x3, false);
+        let adj = conv.adjacency(&mut tape, &self.store, &self.ctx, x3, None);
         let e = self.ctx.edges.len();
         let out = tape.value(adj).data().chunks(e).map(<[f32]>::to_vec).collect();
         self.store.clear_bindings();
@@ -392,30 +398,83 @@ mod tests {
     }
 
     #[test]
-    fn corr_override_reproduces_exact_scores() {
+    fn precomputed_corr_reproduces_exact_scores() {
+        for layers in [1, 2] {
+            let mut cfg = RtGcnConfig::with_strategy(Strategy::TimeSensitive);
+            cfg.layers = layers;
+            cfg.stride = 1;
+            cfg.t_steps = 6;
+            cfg.n_features = 2;
+            cfg.dropout = 0.0;
+            let mut model = RtGcn::new(cfg, &relations(5), 41);
+            let (x, _) = toy_input(6, 5, 2, 42);
+            let base = model.score(&x);
+            // Feed back the exact correlation the first layer would compute
+            // from the raw window: it must be bit-transparent, also when a
+            // second layer dots hidden activations itself.
+            let corr = {
+                let mut tape = Tape::new();
+                let x3 = tape.constant(x.clone());
+                let corr = tape.edge_dot_batched(&model.ctx.rel_edges, x3, (2.0f32).sqrt());
+                tape.value(corr).clone()
+            };
+            assert_eq!(corr.dims(), &[6, model.ctx.n_rel_edges]);
+            assert_eq!(model.score_with_corr(&x, Some(&corr)), base, "layers={layers}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "precomputed correlation must be (T, E_rel)")]
+    fn wrong_shaped_corr_panics() {
         let mut cfg = RtGcnConfig::with_strategy(Strategy::TimeSensitive);
         cfg.t_steps = 6;
         cfg.n_features = 2;
-        cfg.dropout = 0.0;
-        let rel = relations(5);
-        let mut model = RtGcn::new(cfg, &rel, 41);
+        let mut model = RtGcn::new(cfg, &relations(5), 41);
         let (x, _) = toy_input(6, 5, 2, 42);
-        let base = model.score(&x);
-        // Feed back the exact correlation the batch path would compute: the
-        // override must be bit-transparent.
-        let corr_t = {
+        model.score_with_corr(&x, Some(&Tensor::zeros([6, 1])));
+    }
+
+    #[test]
+    fn a_panicking_streamed_score_leaves_no_state_behind() {
+        let mut cfg = RtGcnConfig::with_strategy(Strategy::TimeSensitive);
+        cfg.t_steps = 6;
+        cfg.n_features = 2;
+        let rel = relations(5);
+        let mut model = RtGcn::new(cfg.clone(), &rel, 45);
+        let (x1, _) = toy_input(6, 5, 2, 46);
+        let corr = {
             let mut tape = Tape::new();
-            let x3 = tape.constant(x.clone());
+            let x3 = tape.constant(x1.clone());
             let corr = tape.edge_dot_batched(&model.ctx.rel_edges, x3, (2.0f32).sqrt());
             tape.value(corr).clone()
         };
-        assert_eq!(corr_t.dims(), &[6, model.ctx.n_rel_edges]);
-        let streamed = model.score_with_corr(&x, &corr_t);
-        assert_eq!(base, streamed, "override with the true corr must be exact");
-        assert!(model.ctx.corr_override.is_none(), "override must be cleared");
-        // A mismatched override is ignored, not mis-applied.
-        let bad = Tensor::zeros([6, 1]);
-        assert_eq!(model.score_with_corr(&x, &bad), base);
+        // A window of the wrong feature width panics inside the forward.
+        let (wide, _) = toy_input(6, 5, 3, 47);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            model.score_with_corr(&wide, Some(&corr))
+        }));
+        assert!(panicked.is_err(), "a wrong feature width must panic");
+        // A later plain score of another window must not see `corr`.
+        let (x2, _) = toy_input(6, 5, 2, 48);
+        let fresh = RtGcn::new(cfg, &rel, 45).score(&x2);
+        assert_eq!(model.score(&x2), fresh);
+    }
+
+    #[test]
+    fn weighted_score_equals_the_training_forward() {
+        let mut cfg = RtGcnConfig::with_strategy(Strategy::Weighted);
+        cfg.t_steps = 6;
+        cfg.n_features = 2;
+        cfg.dropout = 0.0;
+        let mut model = RtGcn::new(cfg, &relations(5), 49);
+        let (x, _) = toy_input(6, 5, 2, 50);
+        let scored = model.score(&x);
+        let mut tape = Tape::new();
+        let s = model.forward(&mut tape, &x, true, None);
+        let trained: Vec<f32> = tape.value(s).data().to_vec();
+        model.store.clear_bindings();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&scored), bits(&trained), "inference and training build one adjacency");
     }
 
     #[test]

@@ -144,8 +144,10 @@ pub trait StockRanker {
     }
 
     /// Streaming variant of [`Self::score_window`]: the day-advance engine
-    /// may pass a precomputed `(T, E_rel)` time-sensitive correlation factor
-    /// from its per-plane cache. Models that can consume it (RT-GCN's
+    /// may pass this window's precomputed `(T, E_rel)` time-sensitive
+    /// correlation factor from its per-plane cache, over the relation edges
+    /// the model was built with or last accepted in
+    /// [`Self::refresh_relations`]. Models that can consume it (RT-GCN's
     /// time-sensitive strategy) skip re-dotting every plane; everyone else
     /// ignores it and scores normally — the default.
     fn score_window_streamed(
@@ -240,21 +242,7 @@ impl StockRanker for RtGcn {
         x: &rtgcn_tensor::Tensor,
         corr: Option<&rtgcn_tensor::Tensor>,
     ) -> Option<Vec<f32>> {
-        use crate::config::Strategy;
-        match corr {
-            // The override is only sound when exactly one relational layer
-            // consumes the raw input window: with stacked layers the second
-            // convolution dots *hidden* activations, which the per-plane
-            // cache does not model.
-            Some(c)
-                if self.config.use_relational
-                    && self.config.layers == 1
-                    && self.config.strategy == Strategy::TimeSensitive =>
-            {
-                Some(self.score_with_corr(x, c))
-            }
-            _ => self.score_window(x),
-        }
+        Some(self.score_with_corr(x, corr))
     }
 
     fn refresh_relations(&mut self, relations: &rtgcn_graph::RelationTensor) -> bool {

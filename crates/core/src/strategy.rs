@@ -5,13 +5,13 @@
 //! strategy parameters `w ∈ R^K, b` (and, for the time-sensitive strategy,
 //! the node features).
 
-use rtgcn_graph::{NormalizedAdjCache, RelationTensor, DEGREE_EPS};
+use rtgcn_graph::{NormalizedAdjCache, RelationTensor, SharedAdjCache, DEGREE_EPS};
 use rtgcn_tensor::{CsrEdges, Edges, Tape, Tensor, Var};
 
 /// Static per-dataset context shared by every forward pass: the directed
 /// relation edges with self-loops appended (plus their CSR grouping and the
-/// precomputed/memoised normalised adjacencies in [`NormalizedAdjCache`])
-/// and the per-edge multi-hot relation vectors.
+/// precomputed Eq. 3 weights in the shared [`NormalizedAdjCache`]) and the
+/// per-edge multi-hot relation vectors.
 #[derive(Clone, Debug)]
 pub struct StrategyCtx {
     /// Relation edges followed by one self-loop per node (order matters:
@@ -26,32 +26,24 @@ pub struct StrategyCtx {
     pub k_types: usize,
     /// `(E_rel, K)` multi-hot matrix, one row per relation edge.
     pub multi_hot: Tensor,
-    /// CSR layout, the precomputed Eq. 3 weights and the frozen weighted
-    /// adjacency memo for the batched kernels.
-    pub cache: NormalizedAdjCache,
-    /// Streaming fast path: a precomputed `(T, E_rel)` correlation factor
-    /// for the time-sensitive strategy, supplied by the day-advance engine's
-    /// per-plane cache. When set (and the dims match the current window),
-    /// [`Self::adjacency_time_sensitive_batched`] uses it as a constant
-    /// instead of re-dotting every plane — inference only, no gradient
-    /// flows back into the features. `None` (always, during training) keeps
-    /// the exact batch path.
-    pub corr_override: Option<Tensor>,
+    /// CSR layout and the precomputed Eq. 3 weights for the batched
+    /// kernels, immutable and shared by every model over the same graph.
+    pub cache: SharedAdjCache,
 }
 
 impl StrategyCtx {
     pub fn new(relations: &RelationTensor) -> Self {
         let rel_pairs = relations.directed_edges();
         let cache = NormalizedAdjCache::new(relations.num_stocks(), &rel_pairs);
-        StrategyCtx::with_cache(relations, cache)
+        StrategyCtx::with_cache(relations, cache.into_shared())
     }
 
-    /// Like [`Self::new`] but reusing an existing cache's CSR layout and
-    /// uniform weights (via [`NormalizedAdjCache::fork_layout`]) instead of
-    /// renormalising from scratch. The cache must have been built from the
-    /// same relation tensor. The serving registry uses this so every model
-    /// over one market shares a single layout allocation.
-    pub fn with_cache(relations: &RelationTensor, cache: NormalizedAdjCache) -> Self {
+    /// Like [`Self::new`] but sharing an existing cache's CSR layout and
+    /// uniform weights instead of renormalising from scratch. The cache must
+    /// have been built from the same relation tensor. The serving registry
+    /// uses this so every model over one market shares a single layout
+    /// allocation.
+    pub fn with_cache(relations: &RelationTensor, cache: SharedAdjCache) -> Self {
         let rel_pairs = relations.directed_edges();
         let n_rel = rel_pairs.len();
         assert_eq!(cache.n_rel_edges(), n_rel, "cache built from a different relation tensor");
@@ -69,7 +61,6 @@ impl StrategyCtx {
             k_types: k.max(1),
             multi_hot,
             cache,
-            corr_override: None,
         }
     }
 
@@ -102,24 +93,6 @@ impl StrategyCtx {
         tape.reshape(adj, [self.edges.len()])
     }
 
-    /// Frozen weighted strategy for inference: computes `𝒜ᵀw + b` off-tape
-    /// from the parameter *values* and pulls the renormalised weights through
-    /// the [`NormalizedAdjCache`] memo, so repeated scoring against fixed
-    /// parameters renormalises once. Returns a constant (non-differentiable)
-    /// weight vector — training must use [`Self::adjacency_weighted`].
-    pub fn adjacency_weighted_frozen(&self, tape: &mut Tape, w_val: &Tensor, b_val: &Tensor) -> Var {
-        let (hot, k) = (self.multi_hot.data(), self.k_types);
-        let (wv, bv) = (w_val.data(), b_val.data()[0]);
-        let raw: Vec<f32> = (0..self.n_rel_edges)
-            .map(|e| {
-                let row = &hot[e * k..(e + 1) * k];
-                row.iter().zip(wv).map(|(h, w)| h * w).sum::<f32>() + bv
-            })
-            .collect();
-        let weights = self.cache.normalized_frozen(&raw);
-        tape.constant(Tensor::from_vec(weights.as_ref().clone()))
-    }
-
     /// Time-sensitive strategy (Eq. 5):
     /// `A(t)_ij = (X(t)_iᵀ X(t)_j / √d) · (𝒜_ijᵀ w + b)`, unique per
     /// time-step, for all `T` planes at once: one `edge_dot_batched` for the
@@ -129,24 +102,35 @@ impl StrategyCtx {
     /// per-plane edge weights for [`rtgcn_tensor::Tape::spmm_batched`].
     /// Matches a per-plane on-tape renormalisation to ~1 ulp (the degree
     /// product associates differently).
-    pub fn adjacency_time_sensitive_batched(&self, tape: &mut Tape, w: Var, b: Var, x3: Var) -> Var {
+    ///
+    /// `corr`, when given, is this window's `(T, E_rel)` correlation factor
+    /// precomputed elsewhere (the streaming engine's per-plane cache). It
+    /// enters as a constant instead of the `edge_dot_batched` term, so no
+    /// gradient reaches the features through it; a wrong shape panics.
+    pub fn adjacency_time_sensitive_batched(
+        &self,
+        tape: &mut Tape,
+        w: Var,
+        b: Var,
+        x3: Var,
+        corr: Option<&Tensor>,
+    ) -> Var {
         let dims = tape.value(x3).dims().to_vec();
         let (t, d) = (dims[0], dims[2]);
         let n = self.n_nodes();
+        if let Some(c) = corr {
+            let want = [t, self.n_rel_edges];
+            assert_eq!(c.dims(), want, "precomputed correlation must be (T, E_rel)");
+        }
         let raw_all = if self.n_rel_edges == 0 {
             // No relation edges: the adjacency is self-loops only, raw
             // weight 1 — skip the correlation term entirely (a (T,0)
             // edge_dot has nothing to contribute).
             tape.constant(Tensor::ones([t, n]))
         } else {
-            let corr = match &self.corr_override {
-                // Streaming inference: the per-plane cache already holds
-                // this window's `X(t)ᵀX(t)/√d`; dims are double-checked so a
-                // stale override (different window length after a TCN
-                // stride, or a mutated edge set) falls back to the exact
-                // computation instead of silently mis-shaping.
-                Some(c) if c.dims() == [t, self.n_rel_edges] => tape.constant(c.clone()),
-                _ => tape.edge_dot_batched(&self.rel_edges, x3, (d as f32).sqrt()), // (T, E_rel)
+            let corr = match corr {
+                Some(c) => tape.constant(c.clone()),
+                None => tape.edge_dot_batched(&self.rel_edges, x3, (d as f32).sqrt()), // (T, E_rel)
             };
             let imp = self.relation_importance(tape, w, b); // (E_rel)
             let raw_rel = tape.mul(corr, imp); // broadcast over planes
@@ -262,7 +246,7 @@ mod tests {
             [2, 3, 2],
             vec![1., 0., 0., 1., 1., 1., 0.2, 0.9, 0.4, 0.1, 0.8, 0.8],
         ));
-        let adj = ctx.adjacency_time_sensitive_batched(&mut tape, w, b, x3);
+        let adj = ctx.adjacency_time_sensitive_batched(&mut tape, w, b, x3, None);
         let (a1, a2) = tape.value(adj).data().split_at(ctx.edges.len());
         assert_ne!(a1, a2, "adjacency must vary with features");
     }
@@ -278,29 +262,11 @@ mod tests {
         rtgcn_tensor::check_gradient(&x0, 1e-3, 2e-2, move |tape, x| {
             let w = tape.leaf(Tensor::new([2, 1], vec![0.5, -0.7]));
             let b = tape.leaf(Tensor::from_vec(vec![0.2]));
-            let adj = ctx.adjacency_time_sensitive_batched(tape, w, b, x);
+            let adj = ctx.adjacency_time_sensitive_batched(tape, w, b, x, None);
             let sq = tape.square(adj);
             tape.sum_all(sq)
         })
         .unwrap();
-    }
-
-    #[test]
-    fn weighted_frozen_matches_on_tape_weighted() {
-        let rel = triangle_relations();
-        let ctx = StrategyCtx::new(&rel);
-        let w_val = Tensor::new([2, 1], vec![0.4, -0.6]);
-        let b_val = Tensor::from_vec(vec![0.25]);
-        let mut tape = Tape::new();
-        let w = tape.leaf(w_val.clone());
-        let b = tape.leaf(b_val.clone());
-        let on_tape = ctx.adjacency_weighted(&mut tape, w, b);
-        let frozen = ctx.adjacency_weighted_frozen(&mut tape, &w_val, &b_val);
-        let (a, f) = (tape.value(on_tape).clone(), tape.value(frozen).clone());
-        assert!(a.allclose(&f, 1e-6), "frozen path must match on-tape renormalisation");
-        // Second call with identical parameters must hit the memo.
-        let again = ctx.adjacency_weighted_frozen(&mut tape, &w_val, &b_val);
-        assert_eq!(tape.value(again), &f);
     }
 
     #[test]
@@ -311,7 +277,7 @@ mod tests {
         let w = tape.leaf(Tensor::zeros([1, 1]));
         let b = tape.leaf(Tensor::from_vec(vec![0.5]));
         let x3 = tape.leaf(Tensor::ones([3, 4, 2]));
-        let adj = ctx.adjacency_time_sensitive_batched(&mut tape, w, b, x3);
+        let adj = ctx.adjacency_time_sensitive_batched(&mut tape, w, b, x3, None);
         assert_eq!(tape.value(adj).dims(), &[3, 4]);
         for &v in tape.value(adj).data() {
             assert!((v - 1.0).abs() < 1e-6, "isolated self-loop weight 1, got {v}");

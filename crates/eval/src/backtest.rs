@@ -4,7 +4,7 @@
 //! rank) get the paper's fallback: a uniformly random top-N draw from their
 //! predicted-up set.
 
-use crate::metrics::{cumulative_irr, daily_topk_return, reciprocal_rank, top_k_indices};
+use crate::metrics::{cumulative_irr, daily_topk_return, reciprocal_rank};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -172,12 +172,6 @@ impl StockRanker for RandomRanker {
         use rand::Rng;
         (0..ds.n_stocks()).map(|_| self.rng.gen::<f32>()).collect()
     }
-}
-
-/// Convenience: picks of the oracle at a given day (for case studies).
-pub fn oracle_top_k(ds: &StockDataset, day: usize, k: usize) -> Vec<usize> {
-    let truth: Vec<f32> = (0..ds.n_stocks()).map(|i| ds.realized_return(day, i)).collect();
-    top_k_indices(&truth, k)
 }
 
 #[cfg(test)]

@@ -35,14 +35,6 @@ impl Hypergraph {
         self.hyperedges.push(members);
     }
 
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    pub fn num_hyperedges(&self) -> usize {
-        self.hyperedges.len()
-    }
-
     pub fn hyperedges(&self) -> &[Vec<usize>] {
         &self.hyperedges
     }
@@ -56,11 +48,6 @@ impl Hypergraph {
             }
         }
         d
-    }
-
-    /// Hyperedge degrees `D_e` (cardinalities).
-    pub fn edge_degrees(&self) -> Vec<usize> {
-        self.hyperedges.iter().map(|h| h.len()).collect()
     }
 
     /// Materialise the HGNN propagation operator
@@ -110,7 +97,6 @@ mod tests {
         h.add_hyperedge(vec![0, 1, 2]);
         h.add_hyperedge(vec![2, 3]);
         assert_eq!(h.vertex_degrees(), vec![1, 1, 2, 1]);
-        assert_eq!(h.edge_degrees(), vec![3, 2]);
     }
 
     #[test]

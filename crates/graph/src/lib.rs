@@ -6,8 +6,6 @@
 //!   `𝒜 ∈ {0,1}^{N×N×K}` of paper Section III-A;
 //! - [`norm`] — Kipf–Welling renormalised adjacency (Eqs. 1–2), used to
 //!   precompute the uniform strategy;
-//! - [`rt_graph::RelationTemporalGraph`] — the formal `G_RT` object
-//!   (Section III-B, Figure 2) with structural invariants;
 //! - [`hypergraph::Hypergraph`] — incidence substrate for the STHAN-SR
 //!   baseline.
 //!
@@ -19,11 +17,9 @@ pub mod hypergraph;
 pub mod norm;
 pub mod plane;
 pub mod relations;
-pub mod rt_graph;
 
 pub use cache::{NormalizedAdjCache, SharedAdjCache};
 pub use plane::TimePlaneCache;
 pub use hypergraph::Hypergraph;
 pub use norm::{renormalize, renormalize_uniform, NormalizedAdjacency, DEGREE_EPS};
 pub use relations::{RelationTensor, RelationType};
-pub use rt_graph::{RelationTemporalGraph, RtEdgeKind, RtNode};

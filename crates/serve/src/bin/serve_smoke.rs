@@ -17,8 +17,8 @@ use rtgcn_core::{Checkpoint, DataSpec, RtGcn, RtGcnConfig, StockRanker, Strategy
 use rtgcn_market::{Market, RelationKind, Scale, StockDataset, UniverseSpec};
 use rtgcn_serve::servable::checkpoint_rtgcn;
 use rtgcn_serve::{install_routes, ModelEntry, Registry};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use rtgcn_telemetry::http::roundtrip;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,36 +30,17 @@ const CLIENT_THREADS: usize = 4;
 /// Requests per client thread.
 const REQUESTS_PER_CLIENT: usize = 150;
 
-fn request(addr: SocketAddr, raw: &str) -> Result<(u16, String), String> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5))).map_err(|e| format!("timeout: {e}"))?;
-    stream.write_all(raw.as_bytes()).map_err(|e| format!("write: {e}"))?;
-    let mut resp = String::new();
-    stream.read_to_string(&mut resp).map_err(|e| format!("read: {e}"))?;
-    let status: u16 = resp
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("no HTTP status line in {resp:?}"))?;
-    let body = resp.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    Ok((status, body))
-}
-
 fn get(addr: SocketAddr, path: &str) -> Result<(u16, String), String> {
-    request(addr, &format!("GET {path} HTTP/1.1\r\nHost: serve\r\n\r\n"))
+    roundtrip(addr, format!("GET {path} HTTP/1.1\r\nHost: serve\r\n\r\n").as_bytes())
         .map_err(|e| format!("GET {path}: {e}"))
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> Result<(u16, String), String> {
-    request(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: serve\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-    .map_err(|e| format!("POST {path}: {e}"))
+    let raw = format!(
+        "POST {path} HTTP/1.1\r\nHost: serve\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    roundtrip(addr, raw.as_bytes()).map_err(|e| format!("POST {path}: {e}"))
 }
 
 /// Train for `epochs` and capture a durable checkpoint.

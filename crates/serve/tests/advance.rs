@@ -10,11 +10,9 @@ use rtgcn_market::{Market, RelationKind, Scale, StockDataset, UniverseSpec};
 use rtgcn_serve::probe::{ProbeConfig, WindowSumProbe};
 use rtgcn_serve::servable::checkpoint_probe;
 use rtgcn_serve::{install_routes, Registry};
-use rtgcn_telemetry::http::Server;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use rtgcn_telemetry::http::{roundtrip, Server};
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
 
 const T_STEPS: usize = 2;
 const N_FEATURES: usize = 2;
@@ -63,26 +61,17 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn roundtrip(addr: SocketAddr, raw: String) -> (u16, String) {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    stream.write_all(raw.as_bytes()).unwrap();
-    let mut resp = String::new();
-    stream.read_to_string(&mut resp).unwrap();
-    let status = resp.split_whitespace().nth(1).unwrap().parse().unwrap();
-    let body = resp.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, body)
-}
-
 fn get(path: &str) -> (u16, String) {
-    roundtrip(fixture().addr, format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
+    let raw = format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n");
+    roundtrip(fixture().addr, raw.as_bytes()).unwrap()
 }
 
 fn post(path: &str, body: &str) -> (u16, String) {
-    roundtrip(
-        fixture().addr,
-        format!("POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}", body.len()),
-    )
+    let raw = format!(
+        "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    roundtrip(fixture().addr, raw.as_bytes()).unwrap()
 }
 
 fn field_u64(body: &str, key: &str) -> u64 {

@@ -17,10 +17,9 @@ use rtgcn_market::{Market, RelationKind, Scale, StockDataset, UniverseSpec};
 use rtgcn_serve::probe::{ProbeConfig, WindowSumProbe};
 use rtgcn_serve::servable::checkpoint_probe;
 use rtgcn_serve::{install_routes, ModelEntry, Registry};
-use rtgcn_telemetry::http::Server;
+use rtgcn_telemetry::http::{roundtrip, Server};
 use std::collections::HashSet;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,17 +28,7 @@ const CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 120;
 
 fn rank_once(addr: SocketAddr) -> Result<(u16, String), String> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))
-        .map_err(|e| format!("connect: {e}"))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5))).map_err(|e| format!("timeout: {e}"))?;
-    stream
-        .write_all(b"GET /rank?market=csi&k=4 HTTP/1.1\r\nHost: t\r\n\r\n")
-        .map_err(|e| format!("write: {e}"))?;
-    let mut resp = String::new();
-    stream.read_to_string(&mut resp).map_err(|e| format!("read: {e}"))?;
-    let status =
-        resp.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or("no status line")?;
-    Ok((status, resp.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default()))
+    roundtrip(addr, b"GET /rank?market=csi&k=4 HTTP/1.1\r\nHost: t\r\n\r\n")
 }
 
 #[test]

@@ -21,7 +21,9 @@
 //! 5. re-scores the newest window through
 //!    [`StockRanker::score_window_streamed`], handing the model the cached
 //!    `(T, E_rel)` correlation factor so the time-sensitive strategy skips
-//!    re-dotting `T − 1` already-seen planes;
+//!    re-dotting `T − 1` already-seen planes (`None` once the model has
+//!    refused a relation refresh, since the cache then holds a different
+//!    edge set from the model's);
 //! 6. consults the [`RefitPolicy`] (day-count schedule or MRR drift) and
 //!    retrains on the extended history when it fires.
 //!
@@ -107,6 +109,10 @@ pub struct StreamEngine {
     features: FeatureStream,
     planes: TimePlaneCache,
     model: SharedModel,
+    /// Whether the model's relation edges are `planes`' edge set, so it may
+    /// take the cached correlation factor. Cleared when the model refuses a
+    /// relation refresh.
+    model_has_plane_edges: bool,
     /// Scores awaiting next-day settlement: `(end_day, scores)`.
     last_scores: Option<(usize, Vec<f32>)>,
     /// Lagged MRRs observed since the last (re)fit, newest last.
@@ -151,6 +157,7 @@ impl StreamEngine {
             features,
             planes,
             model,
+            model_has_plane_edges: true,
             last_scores: None,
             mrr_history: Vec::new(),
             baseline_mrr: f32::NAN,
@@ -260,15 +267,16 @@ impl StreamEngine {
     }
 
     /// Score the window ending at `day` through the streamed path, handing
-    /// the model the cached correlation factor. Falls back to the dataset
-    /// scoring path for models that cannot score raw windows.
+    /// the model the cached correlation factor while its edge set matches.
+    /// Falls back to the dataset scoring path for models that cannot score
+    /// raw windows.
     fn score_day(&mut self, day: usize) -> (Vec<f32>, u64) {
         let x = self.features.window(&self.ds.sim.prices, day, self.cfg.t_steps, self.cfg.n_features);
-        let corr = self.corr_for(day);
+        let corr = self.model_has_plane_edges.then(|| self.corr_for(day));
         let t0 = Instant::now();
         let scores = {
             let mut m = self.model.lock();
-            m.score_window_streamed(&x, Some(&corr))
+            m.score_window_streamed(&x, corr.as_ref())
                 .unwrap_or_else(|| m.scores_for_day(&self.ds, day))
         };
         let ns = t0.elapsed().as_nanos() as u64;
@@ -291,13 +299,14 @@ impl StreamEngine {
     /// After a relation mutation: swap the plane cache onto the new edge
     /// set (surviving edges keep their cached dots; only new edges are
     /// dotted over the history) and hand the model the new tensor. A model
-    /// that cannot absorb it keeps scoring through its own exact path — the
-    /// dimension guard on the correlation override makes the stale fast
-    /// path unusable rather than silently wrong.
+    /// that cannot absorb it keeps scoring its old graph through its own
+    /// exact path: the engine stops handing it correlation factors, which
+    /// now cover the new edge set.
     fn rebuild_relation_state(&mut self) {
         let relations = self.ds.relations(self.cfg.relation_kind);
         self.planes.set_edges(relations.directed_edges());
-        if !self.model.lock().refresh_relations(&relations) {
+        self.model_has_plane_edges = self.model.lock().refresh_relations(&relations);
+        if !self.model_has_plane_edges {
             rtgcn_telemetry::warn(
                 "stream.refresh_relations",
                 "model could not absorb the mutated relation tensor; \
@@ -400,10 +409,12 @@ impl StreamEngine {
         let x = ff.window(&fresh.sim.prices, day, self.cfg.t_steps, self.cfg.n_features);
         let data = fresh.sim.prices.data();
         let anchors: Vec<f32> = (0..n).map(|i| data[day * n + i].max(1e-6)).collect();
-        let corr = fp.corr_window(day, self.cfg.t_steps, &anchors, (self.cfg.n_features as f32).sqrt());
+        let corr = self.model_has_plane_edges.then(|| {
+            fp.corr_window(day, self.cfg.t_steps, &anchors, (self.cfg.n_features as f32).sqrt())
+        });
         let rescored = {
             let mut m = self.model.lock();
-            m.score_window_streamed(&x, Some(&corr))
+            m.score_window_streamed(&x, corr.as_ref())
                 .unwrap_or_else(|| m.scores_for_day(&fresh, day))
         };
         if rescored.len() != held.len()

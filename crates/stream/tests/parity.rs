@@ -9,6 +9,7 @@ use rtgcn_market::{
     DayEvent, Market, RelationKind, Scale, StockDataset, UniverseSpec, WikiEdge,
 };
 use rtgcn_stream::{share_model, StreamConfig, StreamEngine};
+use rtgcn_tensor::Tensor;
 
 const T_STEPS: usize = 8;
 const N_FEATURES: usize = 2;
@@ -23,6 +24,14 @@ fn tiny_spec() -> UniverseSpec {
 }
 
 fn trained_engine(seed: u64, refit: RefitPolicy) -> StreamEngine {
+    let (ds, model) = trained_model(seed);
+    let mut scfg = StreamConfig::new(T_STEPS, N_FEATURES, RelationKind::Both);
+    scfg.top_k = 3;
+    scfg.refit = refit;
+    StreamEngine::new(ds, share_model(model), scfg)
+}
+
+fn trained_model(seed: u64) -> (StockDataset, RtGcn) {
     let spec = tiny_spec();
     // Truncate right before the shock day: the first advance generates
     // `test_start()` itself, so the walk straddles the crash regime switch.
@@ -40,10 +49,7 @@ fn trained_engine(seed: u64, refit: RefitPolicy) -> StreamEngine {
     };
     let mut model = RtGcn::new(cfg, &relations, seed);
     model.fit(&ds);
-    let mut scfg = StreamConfig::new(T_STEPS, N_FEATURES, RelationKind::Both);
-    scfg.top_k = 3;
-    scfg.refit = refit;
-    StreamEngine::new(ds, share_model(model), scfg)
+    (ds, model)
 }
 
 /// An add event for some currently-unrelated pair.
@@ -178,4 +184,39 @@ fn window_less_models_fall_back_and_keep_parity() {
     let (day, scores) = engine.latest_scores();
     assert_eq!(day, spec.test_start() + 3);
     assert!(scores.iter().any(|&s| s != 0.0), "fallback scores must be real data");
+}
+
+/// RT-GCN that refuses every relation refresh, as it does when the universe
+/// or the relation-type count changes: it keeps scoring its original graph.
+struct StaleGraph(RtGcn);
+
+impl StockRanker for StaleGraph {
+    fn name(&self) -> String {
+        "stale-graph".into()
+    }
+    fn fit(&mut self, ds: &StockDataset) -> FitReport {
+        self.0.fit(ds)
+    }
+    fn scores_for_day(&mut self, ds: &StockDataset, end_day: usize) -> Vec<f32> {
+        self.0.scores_for_day(ds, end_day)
+    }
+    fn score_window_streamed(&mut self, x: &Tensor, corr: Option<&Tensor>) -> Option<Vec<f32>> {
+        self.0.score_window_streamed(x, corr)
+    }
+}
+
+#[test]
+fn a_model_that_refuses_a_refresh_gets_no_cached_correlation() {
+    let (ds, model) = trained_model(37);
+    let mut cfg = StreamConfig::new(T_STEPS, N_FEATURES, RelationKind::Both);
+    cfg.top_k = 3;
+    let mut engine = StreamEngine::new(ds, share_model(StaleGraph(model)), cfg);
+    for step in 0..3 {
+        // After the add, the plane cache covers one more edge than the
+        // model's graph: handing the model its correlation would fail
+        // RT-GCN's shape assert.
+        let event = (step == 0).then(|| add_event(engine.dataset()));
+        let out = engine.advance(event);
+        engine.verify_parity().unwrap_or_else(|e| panic!("day {}: {e}", out.day));
+    }
 }

@@ -525,3 +525,28 @@ pub fn shutdown_monitor() {
         s.shutdown();
     }
 }
+
+// ------------------------------------------------------------------ client
+
+/// Connect and read timeout of [`roundtrip`].
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Minimal blocking client for smoke harnesses and tests: send the raw
+/// request bytes to `addr` on a fresh connection, read the reply to EOF (the
+/// server always answers `Connection: close`) and return its status code
+/// and body. Connecting and reading each time out after 5 s.
+pub fn roundtrip(addr: SocketAddr, raw: &[u8]) -> Result<(u16, String), String> {
+    let mut stream = TcpStream::connect_timeout(&addr, CLIENT_TIMEOUT)
+        .map_err(|e| format!("connect {addr}: {e}"))?;
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).map_err(|e| format!("set timeout: {e}"))?;
+    stream.write_all(raw).map_err(|e| format!("write: {e}"))?;
+    let mut resp = String::new();
+    stream.read_to_string(&mut resp).map_err(|e| format!("read: {e}"))?;
+    let status = resp
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("no HTTP status line in {resp:?}"))?;
+    let body = resp.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
+    Ok((status, body))
+}

@@ -13,17 +13,10 @@
 //! Cost model: the checks are compiled out of release builds
 //! (`debug_assertions` off — note the release profile's `debug = true` only
 //! adds debuginfo, it does not enable debug assertions). In debug builds
-//! they default on and can be disabled with `RTGCN_FINITE_CHECK=0` (read
-//! once per process) or suppressed for a region via [`suppress`] — for tests
-//! that deliberately drive a model to divergence.
+//! they are always on, except in a region suppressed via [`suppress`] — for
+//! tests that deliberately drive a model to divergence.
 
 use std::cell::Cell;
-use std::sync::OnceLock;
-
-fn env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("RTGCN_FINITE_CHECK").map(|v| v != "0").unwrap_or(true))
-}
 
 thread_local! {
     static SUPPRESS_DEPTH: Cell<u32> = const { Cell::new(0) };
@@ -31,7 +24,7 @@ thread_local! {
 
 /// Is the finite check active on this thread right now?
 pub fn enabled() -> bool {
-    cfg!(debug_assertions) && env_enabled() && SUPPRESS_DEPTH.with(|d| d.get()) == 0
+    cfg!(debug_assertions) && SUPPRESS_DEPTH.with(|d| d.get()) == 0
 }
 
 /// RAII region suppressing finite checks on the current thread (nestable).
@@ -61,7 +54,7 @@ pub fn assert_all_finite(stage: &str, label: &str, data: &[f32]) {
         panic!(
             "finite_check failed: {stage} of `{label}` has non-finite value {v} at element {i} \
              (of {len}) — NaN/inf originates at this op, not downstream \
-             (set RTGCN_FINITE_CHECK=0 to disable)",
+             (wrap a deliberate divergence in `rtgcn_tensor::suppress()`)",
             len = data.len()
         );
     }
@@ -115,6 +108,6 @@ mod tests {
             }
             assert!(!enabled(), "nested guard must not re-enable on drop");
         }
-        assert!(enabled() || std::env::var("RTGCN_FINITE_CHECK").ok().as_deref() == Some("0"));
+        assert!(enabled(), "dropping the last guard must re-enable the check");
     }
 }

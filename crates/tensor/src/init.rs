@@ -61,11 +61,6 @@ pub fn kaiming(shape: impl Into<crate::shape::Shape>, rng: &mut StdRng) -> Tenso
     normal(shape, std, rng)
 }
 
-/// A single standard-normal scalar.
-pub fn randn_scalar(rng: &mut StdRng) -> f32 {
-    normal([1], 1.0, rng).data()[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,12 +44,6 @@ impl Shape {
         strides
     }
 
-    /// Whether two shapes are broadcast-compatible (aligned from the right,
-    /// each pair of dims equal or one of them 1).
-    pub fn broadcast_compatible(&self, other: &Shape) -> bool {
-        self.broadcast_with(other).is_some()
-    }
-
     /// The broadcast result shape of `self` and `other`, or `None` if they
     /// are incompatible.
     pub fn broadcast_with(&self, other: &Shape) -> Option<Shape> {

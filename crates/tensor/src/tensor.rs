@@ -174,13 +174,6 @@ impl Tensor {
         Tensor { shape, data: spares::copied(&self.data) }
     }
 
-    /// In-place reshape (no data movement).
-    pub fn reshape_inplace(&mut self, shape: impl Into<Shape>) {
-        let shape = shape.into();
-        assert_eq!(shape.numel(), self.numel(), "reshape changes element count");
-        self.shape = shape;
-    }
-
     /// Map every element through `f`.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut data = spares::with_capacity(self.numel());

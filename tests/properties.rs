@@ -214,33 +214,26 @@ proptest! {
 // at a time with the Eq. 3–5 adjacency renormalised on the tape. Built only
 // from edge-list tape ops and the public `RelationalConv`/`StrategyCtx`
 // fields, so it shares no code with the batched kernels (`spmm_batched`,
-// `edge_dot_batched`, the CSR layout, the cached and frozen adjacencies)
-// that `RelationalConv::forward` runs.
+// `edge_dot_batched`, the CSR layout, the cached uniform weights) that
+// `RelationalConv::forward` runs.
 // ---------------------------------------------------------------------------
 
 /// Strategy adjacency of one plane `x_t: (N, D)`, aligned with `ctx.edges`:
 /// raw relation weights (Eq. 3: 1; Eq. 4: `𝒜ᵀw + b`; Eq. 5: that times
 /// `x_iᵀx_j / √D`), unit self-loops, then `D̃^{-1/2}(A + I)D̃^{-1/2}` with the
-/// abs-degree clamp. At inference the Weighted adjacency is frozen: `w` and
-/// `b` enter as constants, so no gradient reaches them.
+/// abs-degree clamp.
 fn reference_adjacency(
     tape: &mut Tape,
     store: &ParamStore,
     conv: &RelationalConv,
     ctx: &StrategyCtx,
     x_t: Var,
-    training: bool,
 ) -> Var {
     let n = ctx.n_nodes();
     let raw_rel = if conv.strategy == RtStrategy::Uniform {
         tape.constant(Tensor::ones([ctx.n_rel_edges]))
     } else {
-        let (w, b) = if conv.strategy == RtStrategy::Weighted && !training {
-            let w = tape.constant(store.value(conv.w_rel).clone());
-            (w, tape.constant(store.value(conv.b_rel).clone()))
-        } else {
-            (store.bind(tape, conv.w_rel), store.bind(tape, conv.b_rel))
-        };
+        let (w, b) = (store.bind(tape, conv.w_rel), store.bind(tape, conv.b_rel));
         let hot = tape.constant(ctx.multi_hot.clone());
         let imp = tape.linear(hot, w, b);
         let imp = tape.reshape(imp, [ctx.n_rel_edges]);
@@ -276,7 +269,6 @@ fn reference_forward(
     conv: &RelationalConv,
     ctx: &StrategyCtx,
     x3: Var,
-    training: bool,
 ) -> Var {
     let dims = tape.value(x3).dims().to_vec();
     let (t, n, d) = (dims[0], dims[1], dims[2]);
@@ -286,7 +278,7 @@ fn reference_forward(
         .map(|p| {
             let x_t = tape.slice_rows(x3, p, p + 1);
             let x_t = tape.reshape(x_t, [n, d]);
-            let adj = reference_adjacency(tape, store, conv, ctx, x_t, training);
+            let adj = reference_adjacency(tape, store, conv, ctx, x_t);
             let own = tape.matmul(x_t, theta_self);
             let agg = tape.spmm(&ctx.edges, adj, x_t);
             let nbr = tape.matmul(agg, theta);
@@ -341,7 +333,7 @@ fn relational_gradient_check(
 #[test]
 fn fused_relational_conv_gradient_check_all_strategies() {
     relational_gradient_check(|tape, store, conv, ctx, x3| {
-        conv.forward(tape, store, ctx, x3, true)
+        conv.forward(tape, store, ctx, x3, None)
     });
 }
 
@@ -350,7 +342,7 @@ fn fused_relational_conv_gradient_check_all_strategies() {
 #[test]
 fn serial_relational_conv_gradient_check_all_strategies() {
     relational_gradient_check(|tape, store, conv, ctx, x3| {
-        reference_forward(tape, store, conv, ctx, x3, true)
+        reference_forward(tape, store, conv, ctx, x3)
     });
 }
 
@@ -425,8 +417,8 @@ fn layer_outputs_and_grads(
 }
 
 /// `RelationalConv::forward` against [`reference_forward`] on a random
-/// `(T, N, D)` window with `F` filters, in training and in inference mode:
-/// outputs and all gradients agree to 1e-6 relative.
+/// `(T, N, D)` window with `F` filters: outputs and all gradients agree to
+/// 1e-6 relative.
 fn assert_layer_parity(
     rel: &RelationTensor,
     strategy: RtStrategy,
@@ -440,25 +432,22 @@ fn assert_layer_parity(
     let mut rng = init::rng(seed ^ 0x9e37);
     let x = init::normal([t, n, d], 0.5, &mut rng);
     let r = init::normal([t, n, f], 1.0, &mut rng);
-    for training in [true, false] {
-        let mut store = ParamStore::new();
-        let mut prng = init::rng(seed);
-        let conv = RelationalConv::new(&mut store, "rc", d, f, ctx.k_types, strategy, &mut prng);
-        let batched = layer_outputs_and_grads(&mut store, &x, &r, |tape, store, x3| {
-            conv.forward(tape, store, &ctx, x3, training)
-        });
-        let serial = layer_outputs_and_grads(&mut store, &x, &r, |tape, store, x3| {
-            reference_forward(tape, store, &conv, &ctx, x3, training)
-        });
-        for ((what, a), (_, b)) in batched.iter().zip(&serial) {
-            assert_eq!(a.len(), b.len(), "{what}");
-            for (i, (a, b)) in a.iter().zip(b).enumerate() {
-                assert!(
-                    (a - b).abs() <= 1e-6 * b.abs().max(1.0),
-                    "{strategy:?} training={training} t={t} n={n} d={d} f={f}: \
-                     {what}[{i}] batched {a} vs per-plane {b}"
-                );
-            }
+    let mut store = ParamStore::new();
+    let mut prng = init::rng(seed);
+    let conv = RelationalConv::new(&mut store, "rc", d, f, ctx.k_types, strategy, &mut prng);
+    let batched = layer_outputs_and_grads(&mut store, &x, &r, |tape, store, x3| {
+        conv.forward(tape, store, &ctx, x3, None)
+    });
+    let serial = layer_outputs_and_grads(&mut store, &x, &r, |tape, store, x3| {
+        reference_forward(tape, store, &conv, &ctx, x3)
+    });
+    for ((what, a), (_, b)) in batched.iter().zip(&serial) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (i, (a, b)) in a.iter().zip(b).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-6 * b.abs().max(1.0),
+                "{strategy:?} t={t} n={n} d={d} f={f}: {what}[{i}] batched {a} vs per-plane {b}"
+            );
         }
     }
 }
@@ -468,9 +457,9 @@ proptest! {
 
     /// The batched relational layer and the per-plane reference agree to
     /// 1e-6 on outputs, the input gradient and every parameter gradient,
-    /// in training and inference, across random window lengths, universe
-    /// sizes, feature and filter counts, relation types, strategies and
-    /// random (possibly empty, i.e. self-loops-only) graphs.
+    /// across random window lengths, universe sizes, feature and filter
+    /// counts, relation types, strategies and random (possibly empty, i.e.
+    /// self-loops-only) graphs.
     #[test]
     fn fused_serial_parity_random_shapes(
         t in 1usize..6,
