@@ -157,12 +157,10 @@ impl RtGat {
         let relational = rtgcn_telemetry::span("relational");
         let stacked = self.gat_all(tape, x3, t, n); // (T, N, F)
         drop(relational);
-        let nct = tape.permute3(stacked, [1, 2, 0]); // (N, F, T)
         let temporal = rtgcn_telemetry::span("temporal");
         let tcn = self.tcn.as_ref().unwrap();
-        let out = tcn.forward(tape, &self.store, nct, training, &mut self.rng);
-        let pooled3 = tape.permute3(out, [2, 0, 1]); // (T', N, H)
-        let pooled = tape.mean_axis(pooled3, 0); // (N, H)
+        let out = tcn.forward(tape, &self.store, stacked, training, &mut self.rng); // (T', N, H)
+        let pooled = tape.mean_axis(out, 0); // (N, H)
         drop(temporal);
         let w = self.store.bind(tape, self.fc_w.unwrap());
         let b = self.store.bind(tape, self.fc_b.unwrap());

@@ -1,6 +1,6 @@
 //! Machine-readable perf baselines: fold per-model telemetry JSONL run logs
-//! into a `BenchSnapshot` (kernel percentiles, epoch timings, phase
-//! breakdown, backtest throughput, health verdicts), render it as a markdown
+//! into a `BenchSnapshot` (kernel percentiles, epoch timings, span tree,
+//! backtest throughput, health verdicts), render it as a markdown
 //! table, and diff two snapshots to flag regressions. The `rtgcn-report`
 //! binary is the CLI front-end; `run_experiments.sh --bench-snapshot` wires
 //! it into the experiment pipeline.
@@ -72,8 +72,6 @@ pub struct ModelSnapshot {
     /// Mean wall-clock seconds per `fit/epoch` span (0 when the model does
     /// not emit epoch spans).
     pub epoch_secs_mean: f64,
-    /// Total ns per training phase (relational/temporal/loss/backward/optim).
-    pub phase_ns: BTreeMap<String, u64>,
     pub hists: Vec<HistStat>,
     pub spans: Vec<SpanStatSnap>,
     /// Hierarchical view of `spans` with derived self times. `Option` so
@@ -196,16 +194,6 @@ pub fn model_snapshot(model: &str, events: &[Event]) -> ModelSnapshot {
         }
     }
 
-    // Phase breakdown: leaf spans under an epoch.
-    let mut phase_ns = BTreeMap::new();
-    for s in &spans {
-        if let Some((parent, leaf)) = s.path.rsplit_once('/') {
-            if parent.ends_with("fit/epoch") {
-                *phase_ns.entry(leaf.to_string()).or_insert(0) += s.total_ns;
-            }
-        }
-    }
-
     // Backtest throughput: days scored (the per-day histogram count) over
     // wall-clock seconds inside the backtest span.
     let day_count = hists
@@ -223,7 +211,6 @@ pub fn model_snapshot(model: &str, events: &[Event]) -> ModelSnapshot {
         health,
         epochs,
         epoch_secs_mean,
-        phase_ns,
         hists,
         spans,
         span_tree: Some(span_tree),
@@ -514,8 +501,6 @@ mod tests {
         assert_eq!((h.count, h.p50_ns, h.p95_ns), (8, 5_000_000, 7_000_000));
         assert!((h.mean_ns - 5_000_000.0).abs() < 1.0);
         assert!((m.epoch_secs_mean - 2.0).abs() < 1e-9);
-        assert_eq!(m.phase_ns["loss"], 3_000_000_000);
-        assert_eq!(m.phase_ns["optim"], 1_000_000_000);
         // 8 days over 2 s of backtest span.
         assert!((m.backtest_days_per_sec - 4.0).abs() < 1e-9);
         assert_eq!(m.counters["tape.nodes"], 13);
@@ -684,6 +669,5 @@ mod tests {
         let back: BenchSnapshot = serde_json::from_str(&text).unwrap();
         assert_eq!(back.models[0].model, snap.models[0].model);
         assert_eq!(back.models[0].hists[0].p50_ns, snap.models[0].hists[0].p50_ns);
-        assert_eq!(back.models[0].phase_ns, snap.models[0].phase_ns);
     }
 }

@@ -68,9 +68,11 @@ fn memory_sink_run_folds_into_a_live_snapshot() {
     let loss = m.series.iter().find(|s| s.name == "fit.loss").expect("fit.loss series");
     assert_eq!(loss.points.len(), 2);
 
-    // Phase breakdown covers the training hot paths.
+    // The span tree covers every training phase under the epoch.
+    let tree = m.span_tree.as_ref().expect("snapshot builds a span tree");
     for phase in ["relational", "temporal", "loss", "backward", "optim"] {
-        assert!(m.phase_ns.contains_key(phase), "missing phase {phase}: {:?}", m.phase_ns);
+        let leaf = format!("fit/epoch/{phase}");
+        assert!(tree.iter().any(|s| s.path.ends_with(&leaf)), "missing phase span {leaf}");
     }
     assert!(m.backtest_days_per_sec > 0.0);
 

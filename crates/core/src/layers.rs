@@ -151,7 +151,7 @@ impl TemporalConvBlock {
         TemporalConvBlock { v, gain, bias, skip, spec, in_channels, out_channels, dropout }
     }
 
-    /// `x: (N, C_in, T)` → `(N, C_out, ⌈T/stride⌉)`. `rng` is consulted only
+    /// `x: (T, N, C_in)` → `(⌈T/stride⌉, N, C_out)`. `rng` is consulted only
     /// when `training` (dropout).
     pub fn forward(
         &self,
@@ -247,9 +247,9 @@ mod tests {
         let block = TemporalConvBlock::new(&mut store, "tcn", 4, 8, spec, 0.0, &mut rng);
         assert!(block.skip.is_some(), "channel/stride change requires projection");
         let mut tape = Tape::new();
-        let x = tape.constant(init::normal([5, 4, 10], 1.0, &mut rng));
+        let x = tape.constant(init::normal([10, 5, 4], 1.0, &mut rng));
         let y = block.forward(&mut tape, &store, x, false, &mut rng);
-        assert_eq!(tape.value(y).dims(), &[5, 8, 5]);
+        assert_eq!(tape.value(y).dims(), &[5, 5, 8]);
     }
 
     #[test]
@@ -260,9 +260,9 @@ mod tests {
         let block = TemporalConvBlock::new(&mut store, "tcn", 6, 6, spec, 0.0, &mut rng);
         assert!(block.skip.is_none());
         let mut tape = Tape::new();
-        let x = tape.constant(init::normal([2, 6, 8], 1.0, &mut rng));
+        let x = tape.constant(init::normal([8, 2, 6], 1.0, &mut rng));
         let y = block.forward(&mut tape, &store, x, false, &mut rng);
-        assert_eq!(tape.value(y).dims(), &[2, 6, 8]);
+        assert_eq!(tape.value(y).dims(), &[8, 2, 6]);
     }
 
     #[test]
@@ -272,7 +272,7 @@ mod tests {
         let spec = ConvSpec::new(2, 2, 1);
         let block = TemporalConvBlock::new(&mut store, "tcn", 3, 4, spec, 0.0, &mut rng);
         let mut tape = Tape::new();
-        let x = tape.constant(init::normal([2, 3, 6], 1.0, &mut rng));
+        let x = tape.constant(init::normal([6, 2, 3], 1.0, &mut rng));
         let y = block.forward(&mut tape, &store, x, true, &mut rng);
         let sq = tape.square(y);
         let loss = tape.sum_all(sq);

@@ -134,8 +134,8 @@ impl RtGcn {
 
     /// Forward pass producing the ranking scores `r̂ ∈ R^N`. The window
     /// stays a rank-3 `(T, N, C)` tensor end to end: one batched propagation
-    /// and two `(T·N, C)` matmuls per relational layer, permutes (no
-    /// per-plane slicing) around the TCN.
+    /// and two `(T·N, C)` matmuls per relational layer, and a TCN that
+    /// convolves along `T` in the same layout.
     ///
     /// `corr` is an optional precomputed `(T, E_rel)` time-sensitive
     /// correlation factor of `x` over `self.ctx.rel_edges` (the streaming
@@ -165,11 +165,9 @@ impl RtGcn {
             if self.config.use_temporal {
                 let _span = rtgcn_telemetry::span("temporal");
                 let t = Instant::now();
-                let nct = tape.permute3(cur, [1, 2, 0]); // (N, C, T)
-                let out =
-                    self.tcn_blocks[tcn_i].forward(tape, &self.store, nct, training, &mut self.rng);
+                let block = &self.tcn_blocks[tcn_i];
+                cur = block.forward(tape, &self.store, cur, training, &mut self.rng); // (T', N, C)
                 tcn_i += 1;
-                cur = tape.permute3(out, [2, 0, 1]); // (T', N, C)
                 rtgcn_telemetry::record_ns("kernel.gcn.temporal_ns", elapsed_ns(t));
             }
         }

@@ -7,8 +7,8 @@
 //!
 //! The lagged walk-forward MRR / top-k return series land in the
 //! `stream.mrr` / `stream.cum_irr` gauges and the `stream.score_ns`
-//! histogram, which `rtgcn-report --harness stream_smoke` folds into
-//! `results/BENCH_stream.json`.
+//! histogram of the run's telemetry log; perfbench's stream-advance
+//! workload times `/advance`.
 
 rtgcn_telemetry::install_tracking_allocator!();
 

@@ -72,7 +72,7 @@ impl StreamConfig {
 }
 
 /// What one advanced day produced — the walk-forward evaluation record the
-/// smoke harness folds into `results/BENCH_stream.json`.
+/// smoke harness summarises.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DayOutcome {
     /// Index of the newly generated day.

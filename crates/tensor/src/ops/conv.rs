@@ -1,12 +1,12 @@
 //! Causal 1-D convolution — the temporal-convolution primitive of RT-GCN
 //! (paper Section IV-C, Figure 4).
 //!
-//! Layout: input `(B, C_in, L)` where `B` indexes stocks, channels are
-//! features and `L` is the time axis; weight `(C_out, C_in, k)`. Causality is
-//! enforced with left-only zero padding of `dilation·(k−1)` so output step `t`
-//! never reads inputs later than `t` (no future leakage — Eq. 6). A stride
-//! `> 1` compresses the temporal dimension, expanding the receptive field as
-//! the paper describes.
+//! Layout: input `(L, B, C_in)`, the model's `(T, N, C)`: `L` is the time
+//! axis, `B` indexes stocks and channels are features; weight
+//! `(C_out, C_in, k)`. Causality is enforced with left-only zero padding of
+//! `dilation·(k−1)` so output step `t` never reads inputs later than `t` (no
+//! future leakage — Eq. 6). A stride `> 1` compresses the temporal
+//! dimension, expanding the receptive field as the paper describes.
 
 use super::shape_ops::permute3_slice;
 use crate::spares;
@@ -52,21 +52,23 @@ const STEPS: usize = 4;
 /// Shapes of one conv call, and the kernels that run it.
 ///
 /// Both directions run their innermost loop over a contiguous channel
-/// panel, so it vectorises. The forward packs the weight as a
-/// `(C_in·k, C_out)` panel and accumulates every filter of one output step
-/// at once ([`STEPS`] steps at once away from the padding). The backward
-/// accumulates `gw` in that panel layout (vectorised over `C_out`) and `gx`
-/// time-major against a `(C_out, k, C_in)` panel (vectorised over `C_in`).
-/// Each element is still summed in the order of the scalar
+/// row, so it vectorises. The forward packs the weight as a
+/// `(C_in·k, C_out)` panel, accumulates every filter of one output step at
+/// once ([`STEPS`] steps at once away from the padding) and copies each
+/// accumulated row into its output row. The backward reads each
+/// upstream-gradient row in place, accumulates `gw` in that panel layout
+/// (vectorised over `C_out`), and accumulates `gx` straight into its
+/// `(L, B, C_in)` result against a `(C_out, k, C_in)` panel (vectorised over
+/// `C_in`). Each element is still summed in the order of the scalar
 /// one-element-at-a-time loops: bias first, then `ci`-major, tap-minor,
 /// padded taps skipped; `gw` and `gb` over `(b, t)`; `gx` over
 /// `(co, t, j)`. Results are therefore bit-identical to those loops, which
 /// the test module keeps as the oracle.
 #[derive(Clone, Copy, Debug)]
 struct ConvGeom {
+    l: usize,
     b: usize,
     c_in: usize,
-    l: usize,
     c_out: usize,
     l_out: usize,
     spec: ConvSpec,
@@ -84,15 +86,17 @@ impl ConvGeom {
         (j0, origin + j0 * dil - pad)
     }
 
-    /// `(B, C_out, L_out)` output of `x: (B, C_in, L)`, `w: (C_out, C_in, k)`.
+    /// `(L_out, B, C_out)` output of `x: (L, B, C_in)`, `w: (C_out, C_in, k)`.
     fn forward(&self, x: &[f32], w: &[f32], bias: &[f32]) -> Vec<f32> {
-        let ConvGeom { b, c_in, l, c_out, l_out, spec } = *self;
+        let ConvGeom { b, c_in, c_out, l_out, spec, .. } = *self;
         let (k, dil, stride) = (spec.kernel, spec.dilation, spec.stride);
         // Row `ci·k + j` holds tap `j` of input channel `ci` for every filter.
         let panel = permute3_slice(w, [1, c_out, c_in * k], [0, 2, 1]);
-        let mut out = spares::filled(b * c_out * l_out, 0.0);
+        let mut out = spares::filled(l_out * b * c_out, 0.0);
         let mut acc_rows = vec![0.0f32; STEPS * c_out];
         for bi in 0..b {
+            // Channel `ci` of this stock at input step `p`.
+            let xat = |p: usize, ci: usize| x[(p * b + bi) * c_in + ci];
             let mut t = 0;
             while t < l_out {
                 // Once no tap reads padding, blocks of STEPS steps share
@@ -104,19 +108,18 @@ impl ConvGeom {
                     row.copy_from_slice(bias);
                 }
                 for ci in 0..c_in {
-                    let xrow = &x[(bi * c_in + ci) * l..][..l];
                     for j in j0..k {
                         let p = p0 + (j - j0) * dil;
                         let wrow = &panel[(ci * k + j) * c_out..][..c_out];
                         if steps == 1 {
-                            let xv = xrow[p];
+                            let xv = xat(p, ci);
                             for (a, &wv) in acc.iter_mut().zip(wrow) {
                                 *a += wv * xv;
                             }
                             continue;
                         }
                         let [x0, x1, x2, x3]: [f32; STEPS] =
-                            std::array::from_fn(|s| xrow[p + s * stride]);
+                            std::array::from_fn(|s| xat(p + s * stride, ci));
                         let (a0, rest) = acc.split_at_mut(c_out);
                         let (a1, rest) = rest.split_at_mut(c_out);
                         let (a2, a3) = rest.split_at_mut(c_out);
@@ -130,9 +133,7 @@ impl ConvGeom {
                     }
                 }
                 for (s, row) in acc.chunks_exact(c_out.max(1)).enumerate() {
-                    for (co, &a) in row.iter().enumerate() {
-                        out[(bi * c_out + co) * l_out + t + s] = a;
-                    }
+                    out[((t + s) * b + bi) * c_out..][..c_out].copy_from_slice(row);
                 }
                 t += steps;
             }
@@ -140,30 +141,26 @@ impl ConvGeom {
         out
     }
 
-    /// `(gx, gw, gb)` for the upstream gradient `g: (B, C_out, L_out)`.
+    /// `(gx, gw, gb)` for the upstream gradient `g: (L_out, B, C_out)`.
     fn backward(&self, x: &[f32], w: &[f32], g: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        let ConvGeom { b, c_in, l, c_out, l_out, spec } = *self;
+        let ConvGeom { l, b, c_in, c_out, l_out, spec } = *self;
         let (k, dil) = (spec.kernel, spec.dilation);
         // gb and gw, vectorised over C_out: one output step's upstream
-        // gradients at a time, gw in the forward's panel layout.
+        // gradient row at a time, gw in the forward's panel layout.
         let mut gb = vec![0.0f32; c_out];
         let mut gw_panel = vec![0.0f32; c_in * k * c_out];
-        let mut gcol = vec![0.0f32; c_out];
         for bi in 0..b {
             for t in 0..l_out {
-                for (co, gv) in gcol.iter_mut().enumerate() {
-                    *gv = g[(bi * c_out + co) * l_out + t];
-                }
-                for (s, &gv) in gb.iter_mut().zip(&gcol) {
+                let grow = &g[(t * b + bi) * c_out..][..c_out];
+                for (s, &gv) in gb.iter_mut().zip(grow) {
                     *s += gv;
                 }
                 let (j0, p0) = self.first_tap(t);
                 for ci in 0..c_in {
-                    let xrow = &x[(bi * c_in + ci) * l..][..l];
                     for j in j0..k {
-                        let xv = xrow[p0 + (j - j0) * dil];
+                        let xv = x[((p0 + (j - j0) * dil) * b + bi) * c_in + ci];
                         let row = &mut gw_panel[(ci * k + j) * c_out..][..c_out];
-                        for (s, &gv) in row.iter_mut().zip(&gcol) {
+                        for (s, &gv) in row.iter_mut().zip(grow) {
                             *s += gv * xv;
                         }
                     }
@@ -171,18 +168,17 @@ impl ConvGeom {
             }
         }
         // gx, vectorised over C_in: filter-major, the order the scalar loop
-        // summed it in, accumulated time-major `(B, L, C_in)` against a
-        // `(C_out, k, C_in)` weight panel.
+        // summed it in, against a `(C_out, k, C_in)` weight panel.
         let wt = permute3_slice(w, [c_out, c_in, k], [0, 2, 1]);
-        let mut gx_t = spares::filled(b * l * c_in, 0.0);
+        let mut gx = spares::filled(l * b * c_in, 0.0);
         for bi in 0..b {
             for co in 0..c_out {
-                let grow = &g[(bi * c_out + co) * l_out..][..l_out];
-                for (t, &go) in grow.iter().enumerate() {
+                for t in 0..l_out {
+                    let go = g[(t * b + bi) * c_out + co];
                     let (j0, p0) = self.first_tap(t);
                     for j in j0..k {
                         let p = p0 + (j - j0) * dil;
-                        let dst = &mut gx_t[(bi * l + p) * c_in..][..c_in];
+                        let dst = &mut gx[(p * b + bi) * c_in..][..c_in];
                         let wrow = &wt[(co * k + j) * c_in..][..c_in];
                         for (s, &wv) in dst.iter_mut().zip(wrow) {
                             *s += go * wv;
@@ -191,20 +187,19 @@ impl ConvGeom {
                 }
             }
         }
-        let gx = permute3_slice(&gx_t, [b, l, c_in], [0, 2, 1]);
         let gw = permute3_slice(&gw_panel, [1, c_in * k, c_out], [0, 2, 1]);
         (gx, gw, gb)
     }
 }
 
 impl Tape {
-    /// Causal strided 1-D convolution.
+    /// Causal strided 1-D convolution along the leading (time) axis.
     ///
-    /// * `x`: `(B, C_in, L)`
+    /// * `x`: `(L, B, C_in)`
     /// * `w`: `(C_out, C_in, k)`
     /// * `bias`: `(C_out)`
     ///
-    /// Returns `(B, C_out, L_out)` with `L_out = ⌈L / stride⌉`. A non-finite
+    /// Returns `(L_out, B, C_out)` with `L_out = ⌈L / stride⌉`. A non-finite
     /// input or weight reaches every output (and gradient) that reads it.
     pub fn conv1d_causal(&mut self, x: Var, w: Var, bias: Var, spec: ConvSpec) -> Var {
         static CALLS: std::sync::OnceLock<rtgcn_telemetry::Counter> = std::sync::OnceLock::new();
@@ -213,20 +208,20 @@ impl Tape {
         let xv = self.value(x);
         let wv = self.value(w);
         let bv = self.value(bias);
-        assert_eq!(xv.rank(), 3, "conv1d input must be (B, C_in, L), got {:?}", xv.shape());
+        assert_eq!(xv.rank(), 3, "conv1d input must be (L, B, C_in), got {:?}", xv.shape());
         assert_eq!(wv.rank(), 3, "conv1d weight must be (C_out, C_in, k), got {:?}", wv.shape());
-        let (b, c_in, l) = (xv.dims()[0], xv.dims()[1], xv.dims()[2]);
+        let (l, b, c_in) = (xv.dims()[0], xv.dims()[1], xv.dims()[2]);
         let (c_out, wc_in, k) = (wv.dims()[0], wv.dims()[1], wv.dims()[2]);
         assert_eq!(c_in, wc_in, "conv1d channel mismatch: input {c_in}, weight {wc_in}");
         assert_eq!(k, spec.kernel, "weight kernel dim {k} != spec kernel {}", spec.kernel);
         assert_eq!(bv.dims(), [c_out], "bias must be (C_out)");
 
-        let geom = ConvGeom { b, c_in, l, c_out, l_out: spec.out_len(l), spec };
+        let geom = ConvGeom { l, b, c_in, c_out, l_out: spec.out_len(l), spec };
         let out = geom.forward(xv.data(), wv.data(), bv.data());
-        let out = Tensor::new([b, c_out, geom.l_out], out);
+        let out = Tensor::new([geom.l_out, b, c_out], out);
         self.push_op_named("conv1d_causal", out, vec![x, w, bias], move |ctx| {
             let (gx, gw, gb) = geom.backward(ctx.parents[0].data(), ctx.parents[1].data(), ctx.grad.data());
-            vec![Tensor::new([b, c_in, l], gx), Tensor::new([c_out, c_in, k], gw), Tensor::from_vec(gb)]
+            vec![Tensor::new([l, b, c_in], gx), Tensor::new([c_out, c_in, k], gw), Tensor::from_vec(gb)]
         })
     }
 
@@ -261,26 +256,24 @@ mod tests {
     /// once, so the loops stay index-based.
     #[allow(clippy::needless_range_loop)]
     fn oracle_forward(g: &ConvGeom, xd: &[f32], wd: &[f32], bd: &[f32]) -> Vec<f32> {
-        let ConvGeom { b, c_in, l, c_out, l_out, spec } = *g;
+        let ConvGeom { b, c_in, c_out, l_out, spec, .. } = *g;
         let (k, pad) = (spec.kernel, spec.pad());
-        let mut od = vec![0.0f32; b * c_out * l_out];
+        let mut od = vec![0.0f32; l_out * b * c_out];
         for bi in 0..b {
             for co in 0..c_out {
-                let obase = (bi * c_out + co) * l_out;
                 for t in 0..l_out {
                     let mut acc = bd[co];
                     let origin = t * spec.stride;
                     for ci in 0..c_in {
-                        let xbase = (bi * c_in + ci) * l;
                         let wbase = (co * c_in + ci) * k;
                         for j in 0..k {
                             let ppos = origin + j * spec.dilation;
                             if ppos >= pad {
-                                acc += wd[wbase + j] * xd[xbase + ppos - pad];
+                                acc += wd[wbase + j] * xd[((ppos - pad) * b + bi) * c_in + ci];
                             }
                         }
                     }
-                    od[obase + t] = acc;
+                    od[(t * b + bi) * c_out + co] = acc;
                 }
             }
         }
@@ -294,27 +287,25 @@ mod tests {
         wd: &[f32],
         g: &[f32],
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        let ConvGeom { b, c_in, l, c_out, l_out, spec } = *geom;
+        let ConvGeom { l, b, c_in, c_out, l_out, spec } = *geom;
         let (k, pad) = (spec.kernel, spec.pad());
-        let mut gx = vec![0.0f32; b * c_in * l];
+        let mut gx = vec![0.0f32; l * b * c_in];
         let mut gw = vec![0.0f32; c_out * c_in * k];
         let mut gb = vec![0.0f32; c_out];
         for bi in 0..b {
             for co in 0..c_out {
-                let obase = (bi * c_out + co) * l_out;
                 for t in 0..l_out {
-                    let go = g[obase + t];
+                    let go = g[(t * b + bi) * c_out + co];
                     gb[co] += go;
                     let origin = t * spec.stride;
                     for ci in 0..c_in {
-                        let xbase = (bi * c_in + ci) * l;
                         let wbase = (co * c_in + ci) * k;
                         for j in 0..k {
                             let ppos = origin + j * spec.dilation;
                             if ppos >= pad {
-                                let ipos = ppos - pad;
-                                gw[wbase + j] += go * xd[xbase + ipos];
-                                gx[xbase + ipos] += go * wd[wbase + j];
+                                let xi = ((ppos - pad) * b + bi) * c_in + ci;
+                                gw[wbase + j] += go * xd[xi];
+                                gx[xi] += go * wd[wbase + j];
                             }
                         }
                     }
@@ -340,13 +331,13 @@ mod tests {
     /// (odd seeds) or `w` (even seeds), which must then reach every output
     /// that reads it.
     fn check_against_oracle(geom: ConvGeom, seed: u64, poison: usize) {
-        let ConvGeom { b, c_in, l, c_out, l_out, spec } = geom;
+        let ConvGeom { l, b, c_in, c_out, l_out, spec } = geom;
         let k = spec.kernel;
         let mut rng = crate::init::rng(seed);
-        let mut x = crate::init::uniform([b * c_in * l], -2.0, 2.0, &mut rng).into_data();
+        let mut x = crate::init::uniform([l * b * c_in], -2.0, 2.0, &mut rng).into_data();
         let mut w = crate::init::uniform([c_out * c_in * k], -1.0, 1.0, &mut rng).into_data();
         let bias = crate::init::uniform([c_out], -0.5, 0.5, &mut rng).into_data();
-        let g = crate::init::uniform([b * c_out * l_out], -1.0, 1.0, &mut rng).into_data();
+        let g = crate::init::uniform([l_out * b * c_out], -1.0, 1.0, &mut rng).into_data();
         let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
         let poisoned_x = seed % 2 == 1;
         let site = (seed / 2) as usize;
@@ -372,39 +363,39 @@ mod tests {
                 for t in 0..l_out {
                     let hit = if poisoned_x {
                         let s = site % x.len();
-                        let (pb, p) = (s / (c_in * l), s % l);
+                        let (p, pb) = (s / (b * c_in), s / c_in % b);
                         bi == pb && (0..k).any(|j| reads(t, j) == Some(p))
                     } else {
                         let s = site % w.len();
                         co == s / (c_in * k) && reads(t, s % k).is_some()
                     };
-                    let v = out[(bi * c_out + co) * l_out + t];
+                    let v = out[(t * b + bi) * c_out + co];
                     assert!(!hit || !v.is_finite(), "output ({bi},{co},{t}) dropped the poison: {v}");
                 }
             }
         }
     }
 
-    fn geom(b: usize, c_in: usize, l: usize, c_out: usize, spec: ConvSpec) -> ConvGeom {
-        ConvGeom { b, c_in, l, c_out, l_out: spec.out_len(l), spec }
+    fn geom(l: usize, b: usize, c_in: usize, c_out: usize, spec: ConvSpec) -> ConvGeom {
+        ConvGeom { l, b, c_in, c_out, l_out: spec.out_len(l), spec }
     }
 
     #[test]
     fn panel_kernels_match_oracle_on_corner_geometries() {
-        // (B, C_in, L, C_out, k, stride, dilation)
+        // (L, B, C_in, C_out, k, stride, dilation)
         let corners = [
-            (2, 3, 6, 5, 1, 1, 1),    // k = 1
-            (2, 3, 7, 5, 1, 2, 1),    // the TCN's 1×1 stride-2 skip projection
-            (1, 2, 9, 3, 3, 1, 3),    // dilation > 1
-            (2, 2, 3, 4, 3, 1, 2),    // L ≤ pad: early steps read only padding but one tap
+            (6, 2, 3, 5, 1, 1, 1),    // k = 1
+            (7, 2, 3, 5, 1, 2, 1),    // the TCN's 1×1 stride-2 skip projection
+            (9, 1, 2, 3, 3, 1, 3),    // dilation > 1
+            (3, 2, 2, 4, 3, 1, 2),    // L ≤ pad: early steps read only padding but one tap
             (1, 1, 1, 7, 4, 3, 2),    // a single step, every tap but the last padded
-            (2, 4, 8, 9, 2, 2, 1),    // C_out not a multiple of the vector width
-            (3, 32, 16, 32, 3, 2, 1), // the RT-GCN TCN block
+            (8, 2, 4, 9, 2, 2, 1),    // C_out not a multiple of the vector width
+            (16, 3, 32, 32, 3, 2, 1), // the RT-GCN TCN block
         ];
-        for (i, &(b, c_in, l, c_out, k, s, d)) in corners.iter().enumerate() {
+        for (i, &(l, b, c_in, c_out, k, s, d)) in corners.iter().enumerate() {
             for poison in 0..4 {
                 for seed in [2 * i as u64, 2 * i as u64 + 1] {
-                    check_against_oracle(geom(b, c_in, l, c_out, ConvSpec::new(k, s, d)), seed, poison);
+                    check_against_oracle(geom(l, b, c_in, c_out, ConvSpec::new(k, s, d)), seed, poison);
                 }
             }
         }
@@ -417,13 +408,13 @@ mod tests {
         /// bit on random shapes, with and without a non-finite input.
         #[test]
         fn panel_kernels_match_scalar_oracle(
-            (b, c_in, l, c_out) in (1usize..4, 1usize..6, 1usize..14, 1usize..12),
+            (l, b, c_in, c_out) in (1usize..14, 1usize..4, 1usize..6, 1usize..12),
             (k, stride, dilation) in (1usize..5, 1usize..4, 1usize..4),
             seed in 0u64..1_000_000,
             poison in 0usize..4,
         ) {
             let spec = ConvSpec::new(k, stride, dilation);
-            check_against_oracle(geom(b, c_in, l, c_out, spec), seed, poison);
+            check_against_oracle(geom(l, b, c_in, c_out, spec), seed, poison);
         }
     }
 
@@ -432,7 +423,7 @@ mod tests {
         // 0·Inf = NaN: a zero upstream gradient no longer hides an infinite
         // weight from the input gradient.
         let spec = ConvSpec::new(2, 1, 1);
-        let geom = geom(1, 1, 3, 1, spec);
+        let geom = geom(3, 1, 1, 1, spec);
         let (gx, _, gb) = geom.backward(&[1.0, 2.0, 3.0], &[f32::INFINITY, 1.0], &[0.0, 0.0, 0.0]);
         assert!(gx[..2].iter().all(|v| v.is_nan()), "{gx:?}");
         assert_eq!(gx[2], 0.0);
@@ -443,7 +434,7 @@ mod tests {
     fn identity_kernel_preserves_input() {
         // k=1, stride=1: convolution is a pointwise map with weight 1.
         let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::new([1, 1, 4], vec![1., 2., 3., 4.]));
+        let x = tape.leaf(Tensor::new([4, 1, 1], vec![1., 2., 3., 4.]));
         let w = tape.leaf(Tensor::new([1, 1, 1], vec![1.0]));
         let b = tape.leaf(Tensor::from_vec(vec![0.0]));
         let y = tape.conv1d_causal(x, w, b, ConvSpec::new(1, 1, 1));
@@ -454,7 +445,7 @@ mod tests {
     fn causal_sum_kernel() {
         // k=2 with weights [1,1]: y_t = x_{t-1} + x_t, with x_{-1}=0.
         let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::new([1, 1, 4], vec![1., 2., 3., 4.]));
+        let x = tape.leaf(Tensor::new([4, 1, 1], vec![1., 2., 3., 4.]));
         let w = tape.leaf(Tensor::new([1, 1, 2], vec![1.0, 1.0]));
         let b = tape.leaf(Tensor::from_vec(vec![0.0]));
         let y = tape.conv1d_causal(x, w, b, ConvSpec::new(2, 1, 1));
@@ -465,7 +456,7 @@ mod tests {
     fn no_future_leakage() {
         // Perturbing x_t must never change outputs before t.
         let spec = ConvSpec::new(3, 1, 1);
-        let base = Tensor::new([1, 1, 5], vec![1., 2., 3., 4., 5.]);
+        let base = Tensor::new([5, 1, 1], vec![1., 2., 3., 4., 5.]);
         let run = |x: &Tensor| -> Vec<f32> {
             let mut tape = Tape::new();
             let xv = tape.leaf(x.clone());
@@ -489,18 +480,18 @@ mod tests {
         assert_eq!(spec.out_len(7), 4);
         assert_eq!(spec.out_len(1), 1);
         let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::ones([2, 3, 8]));
+        let x = tape.leaf(Tensor::ones([8, 2, 3]));
         let w = tape.leaf(Tensor::ones([4, 3, 3]));
         let b = tape.leaf(Tensor::zeros([4]));
         let y = tape.conv1d_causal(x, w, b, spec);
-        assert_eq!(tape.value(y).dims(), &[2, 4, 4]);
+        assert_eq!(tape.value(y).dims(), &[4, 2, 4]);
     }
 
     #[test]
     fn dilation_expands_receptive_field() {
         // k=2, dilation=2: y_t = w0·x_{t-2} + w1·x_t.
         let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::new([1, 1, 5], vec![1., 2., 3., 4., 5.]));
+        let x = tape.leaf(Tensor::new([5, 1, 1], vec![1., 2., 3., 4., 5.]));
         let w = tape.leaf(Tensor::new([1, 1, 2], vec![1.0, 10.0]));
         let b = tape.leaf(Tensor::from_vec(vec![0.0]));
         let y = tape.conv1d_causal(x, w, b, ConvSpec::new(2, 1, 2));
@@ -510,7 +501,7 @@ mod tests {
     #[test]
     fn conv_grad_check_input_and_weight() {
         let spec = ConvSpec::new(3, 2, 1);
-        let x0 = Tensor::new([2, 2, 6], (0..24).map(|v| (v as f32) * 0.1 - 1.0).collect());
+        let x0 = Tensor::new([6, 2, 2], (0..24).map(|v| (v as f32) * 0.1 - 1.0).collect());
         let w0 = Tensor::new([3, 2, 3], (0..18).map(|v| (v as f32) * 0.05 - 0.4).collect());
         let w_for_x = w0.clone();
         check_gradient(&x0, 1e-2, 2e-2, move |tape, x| {

@@ -25,25 +25,24 @@ impl Tape {
         self.mul(x, m)
     }
 
-    /// Spatial dropout for `(B, C, L)` activations: drops whole channels
+    /// Spatial dropout for `(L, B, C)` activations: drops whole channels
     /// (the same mask across the entire time axis), as used after each TCN
     /// layer in the paper (Section IV-C, citing Srivastava et al.).
     pub fn spatial_dropout(&mut self, x: Var, p: f32, rng: &mut StdRng) -> Var {
         assert!((0.0..1.0).contains(&p), "dropout probability must be in [0, 1)");
         let xv = self.value(x);
-        assert_eq!(xv.rank(), 3, "spatial_dropout expects (B, C, L)");
+        assert_eq!(xv.rank(), 3, "spatial_dropout expects (L, B, C)");
         if p == 0.0 {
             return x;
         }
-        let (b, c, l) = (xv.dims()[0], xv.dims()[1], xv.dims()[2]);
+        let (l, b, c) = (xv.dims()[0], xv.dims()[1], xv.dims()[2]);
         let scale = 1.0 / (1.0 - p);
-        let mut mask = Tensor::zeros([b, c, l]);
-        for bi in 0..b {
-            for ci in 0..c {
-                let keep = if rng.gen::<f32>() < p { 0.0 } else { scale };
-                let base = (bi * c + ci) * l;
-                mask.data_mut()[base..base + l].fill(keep);
-            }
+        // One keep/drop draw per (b, c), b-major, then the row at every step.
+        let row: Vec<f32> =
+            (0..b * c).map(|_| if rng.gen::<f32>() < p { 0.0 } else { scale }).collect();
+        let mut mask = Tensor::zeros([l, b, c]);
+        for step in mask.data_mut().chunks_exact_mut(row.len().max(1)) {
+            step.copy_from_slice(&row);
         }
         let m = self.constant(mask);
         self.mul(x, m)
@@ -77,13 +76,12 @@ mod tests {
     fn spatial_dropout_kills_whole_channels() {
         let mut r = rng(5);
         let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::ones([4, 8, 6]));
+        let x = tape.leaf(Tensor::ones([6, 4, 8]));
         let y = tape.spatial_dropout(x, 0.5, &mut r);
         let yv = tape.value(y);
         for bi in 0..4 {
             for ci in 0..8 {
-                let base = (bi * 8 + ci) * 6;
-                let ch = &yv.data()[base..base + 6];
+                let ch: Vec<f32> = (0..6).map(|t| yv.at(&[t, bi, ci])).collect();
                 let all_zero = ch.iter().all(|&v| v == 0.0);
                 let all_scaled = ch.iter().all(|&v| (v - 2.0).abs() < 1e-6);
                 assert!(all_zero || all_scaled, "channel must be dropped or kept whole");

@@ -5,7 +5,7 @@
 //! - [`elementwise`] — broadcast arithmetic and activations
 //! - [`matmul`] — dense products and affine layers
 //! - [`reduce`] — sums/means/softmax/norms
-//! - [`shape_ops`] — reshape/permute/stack/gather
+//! - [`shape_ops`] — reshape/stack/gather
 //! - [`conv`] — causal strided 1-D convolution + weight norm (the TCN core)
 //! - [`sparse`] — edge-list graph kernels (spmm, edge-dot, segment softmax)
 //! - [`loss`] — MSE, pairwise ranking hinge, cross-entropy

@@ -1,4 +1,4 @@
-//! Shape-manipulation ops: reshape, transpose, permute, stack/concat, row
+//! Shape-manipulation ops: reshape, transpose, stack/concat, row
 //! gather/slice. All are differentiable (their backward is the inverse data
 //! movement).
 
@@ -6,40 +6,12 @@ use crate::shape::{gather, Shape};
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
-/// Apply a rank-3 permutation to a shape.
-fn permuted_dims(dims: &[usize], perm: [usize; 3]) -> [usize; 3] {
-    [dims[perm[0]], dims[perm[1]], dims[perm[2]]]
-}
-
-fn permute3_data(x: &Tensor, perm: [usize; 3]) -> Tensor {
-    assert_eq!(x.rank(), 3, "permute3 requires rank-3, got {:?}", x.shape());
-    {
-        let mut seen = [false; 3];
-        for &p in &perm {
-            assert!(p < 3 && !seen[p], "invalid permutation {perm:?}");
-            seen[p] = true;
-        }
-    }
-    let d = x.dims();
-    let data = permute3_slice(x.data(), [d[0], d[1], d[2]], perm);
-    Tensor::new(permuted_dims(d, perm), data)
-}
-
 /// Row-major `(d0, d1, d2)` data with its axes permuted so that output axis
 /// `i` is input axis `perm[i]`: a gather over the output shape with the
 /// input's strides in output-axis order.
 pub(crate) fn permute3_slice(xd: &[f32], d: [usize; 3], perm: [usize; 3]) -> Vec<f32> {
     let stride = [d[1] * d[2], d[2], 1];
     gather(xd, &perm.map(|p| d[p]), &perm.map(|p| stride[p]))
-}
-
-/// Inverse of a rank-3 permutation.
-fn inverse_perm(perm: [usize; 3]) -> [usize; 3] {
-    let mut inv = [0usize; 3];
-    for (i, &p) in perm.iter().enumerate() {
-        inv[p] = i;
-    }
-    inv
 }
 
 impl Tape {
@@ -56,14 +28,6 @@ impl Tape {
     pub fn transpose2(&mut self, x: Var) -> Var {
         let out = self.value(x).transpose();
         self.push_op_named("transpose2", out, vec![x], |ctx| vec![ctx.grad.transpose()])
-    }
-
-    /// Permute the axes of a rank-3 tensor, e.g. `(T,N,F) → (N,F,T)` with
-    /// `perm = [1, 2, 0]` (output axis `i` takes input axis `perm[i]`).
-    pub fn permute3(&mut self, x: Var, perm: [usize; 3]) -> Var {
-        let out = permute3_data(self.value(x), perm);
-        let inv = inverse_perm(perm);
-        self.push_op_named("permute3", out, vec![x], move |ctx| vec![permute3_data(ctx.grad, inv)])
     }
 
     /// Concatenate along axis 0. All inputs must agree on trailing dims.
@@ -225,14 +189,11 @@ mod tests {
     }
 
     #[test]
-    fn permute3_roundtrip() {
-        let perms = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
-        for perm in perms {
-            let mut tape = Tape::new();
-            let x = tape.leaf(Tensor::new([2, 3, 4], (0..24).map(|v| v as f32).collect()));
-            let p = tape.permute3(x, perm);
-            let (xv, pv) = (tape.value(x), tape.value(p));
-            assert_eq!(pv.dims(), permuted_dims(xv.dims(), perm), "{perm:?}");
+    fn permute3_slice_matches_naive_reference() {
+        let d = [2, 3, 4];
+        let x = Tensor::new(d, (0..24).map(|v| v as f32).collect());
+        for perm in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let pv = Tensor::new(perm.map(|p| d[p]), permute3_slice(x.data(), d, perm));
             // Naive reference: out[o] == in[idx] with idx[perm[a]] = o[a].
             for i in 0..pv.dims()[0] {
                 for j in 0..pv.dims()[1] {
@@ -241,24 +202,11 @@ mod tests {
                         for (a, o) in [i, j, k].into_iter().enumerate() {
                             idx[perm[a]] = o;
                         }
-                        assert_eq!(pv.at(&[i, j, k]), xv.at(&idx), "{perm:?} at {:?}", [i, j, k]);
+                        assert_eq!(pv.at(&[i, j, k]), x.at(&idx), "{perm:?} at {:?}", [i, j, k]);
                     }
                 }
             }
-            let back = tape.permute3(p, inverse_perm(perm));
-            assert_eq!(tape.value(back), tape.value(x), "{perm:?} round trip");
         }
-    }
-
-    #[test]
-    fn permute3_grad_is_inverse_permutation() {
-        let x = Tensor::new([2, 2, 3], (0..12).map(|v| v as f32 * 0.1).collect());
-        check_gradient(&x, 1e-3, 1e-2, |tape, v| {
-            let p = tape.permute3(v, [2, 0, 1]);
-            let sq = tape.square(p);
-            tape.sum_all(sq)
-        })
-        .unwrap();
     }
 
     #[test]

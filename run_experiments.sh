@@ -42,21 +42,16 @@
 #                     checkpoint it to disk, reload, boot /rank + /score on
 #                     the monitor server, scrape every endpoint, and run a
 #                     short concurrent load test with mid-load hot-swaps
-#                     (zero failed requests tolerated); folds the latency
-#                     histograms into results/BENCH_serve.json and, if
-#                     results/BENCH_serve.baseline.json exists, diffs
-#                     against it; also runs inside the default queue's gate
+#                     (zero failed requests tolerated); also runs inside
+#                     the default queue's gate
 #   --stream-smoke    streaming-pipeline gate (skips the full queue): build,
 #                     then run rtgcn-stream-smoke — train a 1-seed RT-GCN
 #                     just before the crash shock and walk it forward day
 #                     by day through the streaming engine (incremental
 #                     features, per-plane adjacency refresh, one edge add
 #                     and one drop, scheduled refits), proving bitwise
-#                     parity against a from-scratch rebuild; folds the
-#                     walk-forward MRR/IRR series into
-#                     results/BENCH_stream.json and, if
-#                     results/BENCH_stream.baseline.json exists, diffs
-#                     against it; also runs inside the default queue's gate
+#                     parity against a from-scratch rebuild; also runs
+#                     inside the default queue's gate
 #   --resume          resume smoke check (skips the full queue): start a
 #                     parallel table4 run, kill it after the first job lands
 #                     in the jobs-*.jsonl journal, rerun to completion, and
@@ -109,14 +104,12 @@ B=./target/release
 
 # One smoke stage: run rtgcn-NAME-smoke (1 seed, EPOCHS epochs, with the
 # ENV assignments) with its logs and stdout capture under $R/NAME-smoke,
-# and fail with exit 5 unless it exits 0 and prints every MARKER. With
-# FOLD=1 the run's telemetry folds into results/BENCH_NAME.json, diffed
-# against results/BENCH_NAME.baseline.json (if present) at the same 1.5x
-# threshold as the table4 perf gate. Prints NAME_SMOKE_OK on success.
-# Usage: smoke NAME EPOCHS ENV FOLD MARKER...
+# and fail with exit 5 unless it exits 0 and prints every MARKER. Prints
+# NAME_SMOKE_OK on success.
+# Usage: smoke NAME EPOCHS ENV MARKER...
 smoke() {
-  name=$1 epochs=$2 envs=$3 fold=$4
-  shift 4
+  name=$1 epochs=$2 envs=$3
+  shift 3
   S="$R/$name-smoke"
   out="$S/${name}_smoke.txt"
   tag=$(echo "$name" | tr '[:lower:]' '[:upper:]')_SMOKE
@@ -128,22 +121,14 @@ smoke() {
     grep -q "$marker" "$out" \
       || { echo "${tag}_FAIL: missing marker '$marker' in $out" >&2; exit 5; }
   done
-  if [ "$fold" = 1 ]; then
-    $B/rtgcn-report --logs "$S" --harness "${name}_smoke" \
-      --out "results/BENCH_$name.json" --md "$S/BENCH_$name.md"
-    if [ -f "results/BENCH_$name.baseline.json" ]; then
-      $B/rtgcn-report --baseline "results/BENCH_$name.baseline.json" \
-        "results/BENCH_$name.json" --threshold 1.5
-    fi
-  fi
   echo "${tag}_OK"
 }
 
 # The three smoke gates (what each proves: see --monitor-smoke,
 # --serve-smoke and --stream-smoke above).
-monitor_smoke() { smoke monitor 1 RTGCN_JOBS=2 0 'all four endpoints healthy'; }
-serve_smoke() { smoke serve 1 '' 1 'serving endpoints healthy' 'hot-swap clean'; }
-stream_smoke() { smoke stream 2 '' 1 'streaming parity verified' 'walk-forward:'; }
+monitor_smoke() { smoke monitor 1 RTGCN_JOBS=2 'all four endpoints healthy'; }
+serve_smoke() { smoke serve 1 '' 'serving endpoints healthy' 'hot-swap clean'; }
+stream_smoke() { smoke stream 2 '' 'streaming parity verified' 'walk-forward:'; }
 
 # Build once up front — every mode below runs from target/release, and a
 # bare `cargo build` would only build the root package, leaving stale

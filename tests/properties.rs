@@ -147,7 +147,7 @@ proptest! {
         let w: Vec<f32> = (0..kernel).map(|i| 0.3 * (i as f32 + 1.0)).collect();
         let run = |xs: &[f32]| -> Vec<f32> {
             let mut tape = Tape::new();
-            let x = tape.leaf(Tensor::new([1, 1, xs.len()], xs.to_vec()));
+            let x = tape.leaf(Tensor::new([xs.len(), 1, 1], xs.to_vec()));
             let wv = tape.leaf(Tensor::new([1, 1, kernel], w.clone()));
             let b = tape.leaf(Tensor::zeros([1]));
             let y = tape.conv1d_causal(x, wv, b, spec);
@@ -355,7 +355,7 @@ fn temporal_conv_block_gradient_check() {
     let spec = ConvSpec::new(3, 2, 1);
     let block = TemporalConvBlock::new(&mut store, "tcn", 3, 4, spec, 0.0, &mut rng);
     assert!(block.skip.is_some(), "channel change must engage the 1×1 skip");
-    let x = init::normal([2, 3, 6], 0.5, &mut rng);
+    let x = init::normal([6, 2, 3], 0.5, &mut rng);
     // eps is deliberately small: the block's ReLU means a larger probe step
     // can walk an activation across its kink and corrupt the central
     // difference.
