@@ -49,16 +49,13 @@ impl RelationalConv {
     /// `ctx.edges` (relation edges then self-loops): `(E)` shared by every
     /// plane for Uniform and Weighted, `(T, E)` one row per plane for
     /// TimeSensitive. Always built on the tape, in training and inference
-    /// alike. `corr` is an optional precomputed Eq. 5 correlation of `x3`
-    /// (see [`StrategyCtx::adjacency_time_sensitive_batched`]); the other
-    /// strategies do not read it.
+    /// alike.
     pub(crate) fn adjacency(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         ctx: &StrategyCtx,
         x3: Var,
-        corr: Option<&Tensor>,
     ) -> Var {
         match self.strategy {
             Strategy::Uniform => tape.constant(Tensor::from_vec(ctx.cache.uniform().to_vec())),
@@ -70,7 +67,7 @@ impl RelationalConv {
             Strategy::TimeSensitive => {
                 let w = store.bind(tape, self.w_rel);
                 let b = store.bind(tape, self.b_rel);
-                ctx.adjacency_time_sensitive_batched(tape, w, b, x3, corr)
+                ctx.adjacency_time_sensitive_batched(tape, w, b, x3)
             }
         }
     }
@@ -78,20 +75,12 @@ impl RelationalConv {
     /// Forward over all time-steps at once: `x3` is the full `(T, N, C)`
     /// window, the result `(T, N, F)`. All planes share one
     /// `(T·N, C) × (C, F)` matmul per weight matrix and one batched
-    /// propagation through the cached CSR layout. `corr` as in
-    /// [`Self::adjacency`].
-    pub fn forward(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        ctx: &StrategyCtx,
-        x3: Var,
-        corr: Option<&Tensor>,
-    ) -> Var {
+    /// propagation through the cached CSR layout.
+    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, ctx: &StrategyCtx, x3: Var) -> Var {
         let dims = tape.value(x3).dims().to_vec();
         let (t, n, c) = (dims[0], dims[1], dims[2]);
         let out_dim = store.value(self.theta).dims()[1];
-        let adj = self.adjacency(tape, store, ctx, x3, corr);
+        let adj = self.adjacency(tape, store, ctx, x3);
         let theta_self = store.bind(tape, self.theta_self);
         let theta = store.bind(tape, self.theta);
         let x2 = tape.reshape(x3, [t * n, c]);
@@ -208,7 +197,7 @@ mod tests {
             let conv = RelationalConv::new(&mut store, "rc", d, 5, 2, strategy, &mut rng);
             let mut tape = Tape::new();
             let x3 = tape.constant(Tensor::new([t, n, d], data.clone()));
-            let z = conv.forward(&mut tape, &store, &ctx3(), x3, None);
+            let z = conv.forward(&mut tape, &store, &ctx3(), x3);
             assert_eq!(tape.value(z).dims(), &[t, n, 5], "{strategy:?}");
             assert!(!tape.value(z).has_non_finite(), "{strategy:?}");
         }
@@ -224,7 +213,7 @@ mod tests {
         let run = |x: Vec<f32>| -> Tensor {
             let mut tape = Tape::new();
             let xv = tape.constant(Tensor::new([1, 3, 2], x));
-            let z = conv.forward(&mut tape, &store, &ctx, xv, None);
+            let z = conv.forward(&mut tape, &store, &ctx, xv);
             store.clear_bindings();
             tape.value(z).reshape([3, 3])
         };

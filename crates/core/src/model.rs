@@ -136,19 +136,7 @@ impl RtGcn {
     /// stays a rank-3 `(T, N, C)` tensor end to end: one batched propagation
     /// and two `(T·N, C)` matmuls per relational layer, and a TCN that
     /// convolves along `T` in the same layout.
-    ///
-    /// `corr` is an optional precomputed `(T, E_rel)` time-sensitive
-    /// correlation factor of `x` over `self.ctx.rel_edges` (the streaming
-    /// engine's per-plane cache). Only the first relational layer reads the
-    /// raw window, so only it receives `corr`; it must be exactly what that
-    /// layer would compute, and a wrong shape panics.
-    pub fn forward(
-        &mut self,
-        tape: &mut Tape,
-        x: &Tensor,
-        training: bool,
-        corr: Option<&Tensor>,
-    ) -> Var {
+    pub fn forward(&mut self, tape: &mut Tape, x: &Tensor, training: bool) -> Var {
         self.check_input(x);
         let n = self.n_stocks;
         let mut cur = tape.constant(x.clone()); // (T, N, C)
@@ -157,8 +145,7 @@ impl RtGcn {
             if self.config.use_relational {
                 let _span = rtgcn_telemetry::span("relational");
                 let t = Instant::now();
-                let corr = if rel_i == 0 { corr } else { None };
-                cur = self.rel_convs[rel_i].forward(tape, &self.store, &self.ctx, cur, corr);
+                cur = self.rel_convs[rel_i].forward(tape, &self.store, &self.ctx, cur);
                 rtgcn_telemetry::record_ns("kernel.gcn.relational_ns", elapsed_ns(t));
                 rel_i += 1;
             }
@@ -181,14 +168,8 @@ impl RtGcn {
 
     /// Inference: ranking scores as a plain vector.
     pub fn score(&mut self, x: &Tensor) -> Vec<f32> {
-        self.score_with_corr(x, None)
-    }
-
-    /// Inference with an optional precomputed time-sensitive correlation
-    /// factor for the first relational layer (see [`Self::forward`]).
-    pub fn score_with_corr(&mut self, x: &Tensor, corr: Option<&Tensor>) -> Vec<f32> {
         let mut tape = Tape::new();
-        let s = self.forward(&mut tape, x, false, corr);
+        let s = self.forward(&mut tape, x, false);
         let out = tape.value(s).data().to_vec();
         self.store.clear_bindings();
         out
@@ -235,7 +216,7 @@ impl RtGcn {
     /// the pre-clip global gradient L2 norm.
     pub fn train_step_stats(&mut self, x: &Tensor, y: &Tensor, opt: &mut dyn Optimizer) -> StepStats {
         let mut tape = Tape::new();
-        let scores = self.forward(&mut tape, x, true, None);
+        let scores = self.forward(&mut tape, x, true);
         let (loss, loss_val, mse, rank) = {
             let _span = rtgcn_telemetry::span("loss");
             let (loss, mse, rank) = tape.combined_rank_loss_parts(scores, y, self.config.alpha);
@@ -272,7 +253,7 @@ impl RtGcn {
         };
         let mut tape = Tape::new();
         let x3 = tape.constant(x.clone());
-        let adj = conv.adjacency(&mut tape, &self.store, &self.ctx, x3, None);
+        let adj = conv.adjacency(&mut tape, &self.store, &self.ctx, x3);
         let e = self.ctx.edges.len();
         let out = tape.value(adj).data().chunks(e).map(<[f32]>::to_vec).collect();
         self.store.clear_bindings();
@@ -396,63 +377,18 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_corr_reproduces_exact_scores() {
-        for layers in [1, 2] {
-            let mut cfg = RtGcnConfig::with_strategy(Strategy::TimeSensitive);
-            cfg.layers = layers;
-            cfg.stride = 1;
-            cfg.t_steps = 6;
-            cfg.n_features = 2;
-            cfg.dropout = 0.0;
-            let mut model = RtGcn::new(cfg, &relations(5), 41);
-            let (x, _) = toy_input(6, 5, 2, 42);
-            let base = model.score(&x);
-            // Feed back the exact correlation the first layer would compute
-            // from the raw window: it must be bit-transparent, also when a
-            // second layer dots hidden activations itself.
-            let corr = {
-                let mut tape = Tape::new();
-                let x3 = tape.constant(x.clone());
-                let corr = tape.edge_dot_batched(&model.ctx.rel_edges, x3, (2.0f32).sqrt());
-                tape.value(corr).clone()
-            };
-            assert_eq!(corr.dims(), &[6, model.ctx.n_rel_edges]);
-            assert_eq!(model.score_with_corr(&x, Some(&corr)), base, "layers={layers}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "precomputed correlation must be (T, E_rel)")]
-    fn wrong_shaped_corr_panics() {
-        let mut cfg = RtGcnConfig::with_strategy(Strategy::TimeSensitive);
-        cfg.t_steps = 6;
-        cfg.n_features = 2;
-        let mut model = RtGcn::new(cfg, &relations(5), 41);
-        let (x, _) = toy_input(6, 5, 2, 42);
-        model.score_with_corr(&x, Some(&Tensor::zeros([6, 1])));
-    }
-
-    #[test]
-    fn a_panicking_streamed_score_leaves_no_state_behind() {
+    fn a_panicking_score_leaves_no_state_behind() {
         let mut cfg = RtGcnConfig::with_strategy(Strategy::TimeSensitive);
         cfg.t_steps = 6;
         cfg.n_features = 2;
         let rel = relations(5);
         let mut model = RtGcn::new(cfg.clone(), &rel, 45);
-        let (x1, _) = toy_input(6, 5, 2, 46);
-        let corr = {
-            let mut tape = Tape::new();
-            let x3 = tape.constant(x1.clone());
-            let corr = tape.edge_dot_batched(&model.ctx.rel_edges, x3, (2.0f32).sqrt());
-            tape.value(corr).clone()
-        };
         // A window of the wrong feature width panics inside the forward.
         let (wide, _) = toy_input(6, 5, 3, 47);
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            model.score_with_corr(&wide, Some(&corr))
-        }));
+        let panicked =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.score(&wide)));
         assert!(panicked.is_err(), "a wrong feature width must panic");
-        // A later plain score of another window must not see `corr`.
+        // A later score of another window equals a fresh model's.
         let (x2, _) = toy_input(6, 5, 2, 48);
         let fresh = RtGcn::new(cfg, &rel, 45).score(&x2);
         assert_eq!(model.score(&x2), fresh);
@@ -468,7 +404,7 @@ mod tests {
         let (x, _) = toy_input(6, 5, 2, 50);
         let scored = model.score(&x);
         let mut tape = Tape::new();
-        let s = model.forward(&mut tape, &x, true, None);
+        let s = model.forward(&mut tape, &x, true);
         let trained: Vec<f32> = tape.value(s).data().to_vec();
         model.store.clear_bindings();
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();

@@ -143,22 +143,6 @@ pub trait StockRanker {
         None
     }
 
-    /// Streaming variant of [`Self::score_window`]: the day-advance engine
-    /// may pass this window's precomputed `(T, E_rel)` time-sensitive
-    /// correlation factor from its per-plane cache, over the relation edges
-    /// the model was built with or last accepted in
-    /// [`Self::refresh_relations`]. Models that can consume it (RT-GCN's
-    /// time-sensitive strategy) skip re-dotting every plane; everyone else
-    /// ignores it and scores normally — the default.
-    fn score_window_streamed(
-        &mut self,
-        x: &rtgcn_tensor::Tensor,
-        corr: Option<&rtgcn_tensor::Tensor>,
-    ) -> Option<Vec<f32>> {
-        let _ = corr;
-        self.score_window(x)
-    }
-
     /// Rebuild relation-derived state after the graph mutated (streaming
     /// edge add/drop events). Returns whether the model took the new tensor;
     /// `false` (the default) means the model has no relation state or cannot
@@ -235,14 +219,6 @@ impl StockRanker for RtGcn {
 
     fn score_window(&mut self, x: &rtgcn_tensor::Tensor) -> Option<Vec<f32>> {
         Some(self.score(x))
-    }
-
-    fn score_window_streamed(
-        &mut self,
-        x: &rtgcn_tensor::Tensor,
-        corr: Option<&rtgcn_tensor::Tensor>,
-    ) -> Option<Vec<f32>> {
-        Some(self.score_with_corr(x, corr))
     }
 
     fn refresh_relations(&mut self, relations: &rtgcn_graph::RelationTensor) -> bool {

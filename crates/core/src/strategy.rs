@@ -102,36 +102,17 @@ impl StrategyCtx {
     /// per-plane edge weights for [`rtgcn_tensor::Tape::spmm_batched`].
     /// Matches a per-plane on-tape renormalisation to ~1 ulp (the degree
     /// product associates differently).
-    ///
-    /// `corr`, when given, is this window's `(T, E_rel)` correlation factor
-    /// precomputed elsewhere (the streaming engine's per-plane cache). It
-    /// enters as a constant instead of the `edge_dot_batched` term, so no
-    /// gradient reaches the features through it; a wrong shape panics.
-    pub fn adjacency_time_sensitive_batched(
-        &self,
-        tape: &mut Tape,
-        w: Var,
-        b: Var,
-        x3: Var,
-        corr: Option<&Tensor>,
-    ) -> Var {
+    pub fn adjacency_time_sensitive_batched(&self, tape: &mut Tape, w: Var, b: Var, x3: Var) -> Var {
         let dims = tape.value(x3).dims().to_vec();
         let (t, d) = (dims[0], dims[2]);
         let n = self.n_nodes();
-        if let Some(c) = corr {
-            let want = [t, self.n_rel_edges];
-            assert_eq!(c.dims(), want, "precomputed correlation must be (T, E_rel)");
-        }
         let raw_all = if self.n_rel_edges == 0 {
             // No relation edges: the adjacency is self-loops only, raw
             // weight 1 — skip the correlation term entirely (a (T,0)
             // edge_dot has nothing to contribute).
             tape.constant(Tensor::ones([t, n]))
         } else {
-            let corr = match corr {
-                Some(c) => tape.constant(c.clone()),
-                None => tape.edge_dot_batched(&self.rel_edges, x3, (d as f32).sqrt()), // (T, E_rel)
-            };
+            let corr = tape.edge_dot_batched(&self.rel_edges, x3, (d as f32).sqrt()); // (T, E_rel)
             let imp = self.relation_importance(tape, w, b); // (E_rel)
             let raw_rel = tape.mul(corr, imp); // broadcast over planes
             let loops = tape.constant(Tensor::ones([t, n]));
@@ -246,7 +227,7 @@ mod tests {
             [2, 3, 2],
             vec![1., 0., 0., 1., 1., 1., 0.2, 0.9, 0.4, 0.1, 0.8, 0.8],
         ));
-        let adj = ctx.adjacency_time_sensitive_batched(&mut tape, w, b, x3, None);
+        let adj = ctx.adjacency_time_sensitive_batched(&mut tape, w, b, x3);
         let (a1, a2) = tape.value(adj).data().split_at(ctx.edges.len());
         assert_ne!(a1, a2, "adjacency must vary with features");
     }
@@ -262,7 +243,7 @@ mod tests {
         rtgcn_tensor::check_gradient(&x0, 1e-3, 2e-2, move |tape, x| {
             let w = tape.leaf(Tensor::new([2, 1], vec![0.5, -0.7]));
             let b = tape.leaf(Tensor::from_vec(vec![0.2]));
-            let adj = ctx.adjacency_time_sensitive_batched(tape, w, b, x, None);
+            let adj = ctx.adjacency_time_sensitive_batched(tape, w, b, x);
             let sq = tape.square(adj);
             tape.sum_all(sq)
         })
@@ -277,7 +258,7 @@ mod tests {
         let w = tape.leaf(Tensor::zeros([1, 1]));
         let b = tape.leaf(Tensor::from_vec(vec![0.5]));
         let x3 = tape.leaf(Tensor::ones([3, 4, 2]));
-        let adj = ctx.adjacency_time_sensitive_batched(&mut tape, w, b, x3, None);
+        let adj = ctx.adjacency_time_sensitive_batched(&mut tape, w, b, x3);
         assert_eq!(tape.value(adj).dims(), &[3, 4]);
         for &v in tape.value(adj).data() {
             assert!((v - 1.0).abs() < 1e-6, "isolated self-loop weight 1, got {v}");

@@ -15,6 +15,8 @@
 pub mod cache;
 pub mod hypergraph;
 pub mod norm;
+// No crate calls the plane cache; only perfbench's stream-advance probe
+// times it.
 pub mod plane;
 pub mod relations;
 

@@ -35,7 +35,7 @@ pub fn warmup_for(n_features: usize) -> usize {
 
 /// Moving average of the `w` prices ending at `day` (inclusive) for a price
 /// series laid out `(days, n)` row-major.
-fn moving_average(prices: &Tensor, day: usize, stock: usize, w: usize) -> f32 {
+pub(crate) fn moving_average(prices: &Tensor, day: usize, stock: usize, w: usize) -> f32 {
     let n = prices.dims()[1];
     // A real assert: in release builds the old debug_assert! compiled away
     // and `day + 1 - w` underflowed with a raw panic-on-overflow (or silent

@@ -19,7 +19,6 @@
 pub mod dataset;
 pub mod features;
 pub mod index;
-pub mod io;
 pub mod relations;
 pub mod stream;
 pub mod synth;
@@ -28,7 +27,6 @@ pub mod universe;
 pub use dataset::{DayEvent, RelationKind, Sample, StockDataset};
 pub use features::{return_ratios, warmup_for, window_features, MAX_FEATURES, WARMUP_DAYS};
 pub use index::index_cumulative_returns;
-pub use io::{dataset_from_parts, load_dataset, parse_prices_csv, parse_relations_csv, prices_to_csv, PriceTable};
 pub use relations::{IndustryRelations, WikiEdge, WikiRelations};
 pub use stream::FeatureStream;
 pub use synth::{simulate, MarketSim, SynthConfig};

@@ -1,38 +1,31 @@
 //! Incremental feature maintenance for the streaming day-advance pipeline
 //! (DESIGN.md §14).
 //!
-//! [`window_features`](crate::features::window_features) recomputes every
-//! moving average from scratch — O(w) per (day, stock, window) — which is
-//! fine for batch training but wasteful when a live system appends one day
-//! at a time. [`FeatureStream`] maintains rolling 5/10/20-day sums so each
-//! appended day costs O(1) per (stock, window), and keeps the full raw-MA
-//! history so any feature window over past days can be assembled without
-//! touching the price series more than once per day.
+//! [`window_features`](crate::features::window_features) rescans the price
+//! history for every moving average of every window it builds. A live
+//! system scores one new window a day, and each window shares all but one
+//! day with the last, so [`FeatureStream`] records each day's 5/10/20-day
+//! averages once, when the day is appended, and assembles any later window
+//! by lookup.
 //!
 //! ## Parity contract
 //!
-//! The stream's state after day `D` is a pure function of `prices[0..=D]`
-//! with a fixed op order: pushing days one at a time and rebuilding from
-//! scratch with [`FeatureStream::from_prices`] execute the *same* code path
-//! and are therefore bit-identical — the guarantee the streaming parity
-//! suite enforces. Rolling sums accumulate in `f64`, so against the
-//! independent f32 scan in `window_features` the assembled windows agree to
-//! float tolerance (≲ 1e-5 relative), not bitwise; the streaming scorer
-//! always compares streamed state against a streamed rebuild.
+//! Each average is recorded by the very f32 scan `window_features` runs
+//! (`features::moving_average`), over the same price rows, so
+//! [`FeatureStream::window`] is bit-identical to `window_features`, and
+//! pushing days one at a time equals a rebuild with
+//! [`FeatureStream::from_prices`], bit for bit. The streaming parity suite
+//! enforces both.
 
-use crate::features::{warmup_for, MAX_FEATURES, MA_WINDOWS};
+use crate::features::{moving_average, warmup_for, MAX_FEATURES, MA_WINDOWS};
 use rtgcn_tensor::Tensor;
 
-/// Rolling moving-average state over a growing price history.
+/// The moving averages of a growing price history, one row per day.
 #[derive(Clone, Debug)]
 pub struct FeatureStream {
     n: usize,
     /// Days ingested so far (the next `push_day` fills day index `days`).
     days: usize,
-    /// Rolling close sums, `(stock, window)` row-major — f64 so the
-    /// subtract-the-departing-day update stays well-conditioned over long
-    /// streams.
-    sums: Vec<f64>,
     /// Raw (pre-anchor-normalisation) moving averages, `(day, stock,
     /// window)` row-major; NaN before a window's warm-up is reached (never
     /// read: `window` gates on [`warmup_for`]).
@@ -44,7 +37,7 @@ const N_WINDOWS: usize = MA_WINDOWS.len();
 impl FeatureStream {
     /// Empty stream over `n` stocks.
     pub fn new(n: usize) -> Self {
-        FeatureStream { n, days: 0, sums: vec![0.0; n * N_WINDOWS], ma_hist: Vec::new() }
+        FeatureStream { n, days: 0, ma_hist: Vec::new() }
     }
 
     /// Batch rebuild: ingest every day of `prices` in order. This is the
@@ -64,27 +57,16 @@ impl FeatureStream {
         self.days
     }
 
-    pub fn n_stocks(&self) -> usize {
-        self.n
-    }
-
     /// Ingest the next day (index `self.days()`) from `prices`, which must
-    /// already contain that row. O(1) per (stock, window): add the new
-    /// close, subtract the one leaving the window.
+    /// already contain that row: record each stock's moving averages ending
+    /// at that day.
     pub fn push_day(&mut self, prices: &Tensor) {
         let day = self.days;
         assert_eq!(prices.dims()[1], self.n, "stock count changed mid-stream");
         assert!(prices.dims()[0] > day, "prices have no row for day {day}");
-        let data = prices.data();
         for i in 0..self.n {
-            let close = data[day * self.n + i] as f64;
-            for (k, &w) in MA_WINDOWS.iter().enumerate() {
-                let s = &mut self.sums[i * N_WINDOWS + k];
-                *s += close;
-                if day >= w {
-                    *s -= data[(day - w) * self.n + i] as f64;
-                }
-                let ma = if day + 1 >= w { (*s / w as f64) as f32 } else { f32::NAN };
+            for &w in &MA_WINDOWS {
+                let ma = if day + 1 >= w { moving_average(prices, day, i, w) } else { f32::NAN };
                 self.ma_hist.push(ma);
             }
         }
@@ -100,8 +82,8 @@ impl FeatureStream {
 
     /// Assemble the `X_t ∈ R^{T×N×D}` window ending at `end_day`, matching
     /// [`window_features`](crate::features::window_features)' layout, gates,
-    /// and anchor normalisation, but reading moving averages from the rolling
-    /// state instead of rescanning the price history.
+    /// and anchor normalisation, bit for bit, but reading the recorded moving
+    /// averages instead of rescanning the price history.
     pub fn window(
         &self,
         prices: &Tensor,
@@ -146,7 +128,7 @@ mod tests {
         let mut p = Tensor::zeros([days, n]);
         for d in 0..days {
             for i in 0..n {
-                // Mildly oscillating so rolling sums actually vary.
+                // Mildly oscillating so the moving averages actually vary.
                 p.data_mut()[d * n + i] =
                     100.0 + d as f32 + 10.0 * i as f32 + ((d * 7 + i) % 5) as f32 * 0.3;
             }
@@ -167,7 +149,6 @@ mod tests {
             inc.push_day(&grow);
         }
         assert_eq!(inc.days(), batch.days());
-        assert_eq!(inc.sums, batch.sums, "rolling sums diverge");
         // NaN-aware bitwise comparison of the MA history.
         let a: Vec<u32> = inc.ma_hist.iter().map(|v| v.to_bits()).collect();
         let b: Vec<u32> = batch.ma_hist.iter().map(|v| v.to_bits()).collect();
@@ -175,31 +156,18 @@ mod tests {
     }
 
     #[test]
-    fn window_agrees_with_direct_features_to_tolerance() {
+    fn window_is_bitwise_identical_to_window_features() {
         let p = toy_prices(80, 4);
         let s = FeatureStream::from_prices(&p);
         for nf in 1..=4 {
-            let a = s.window(&p, 60, 12, nf);
-            let b = window_features(&p, 60, 12, nf);
-            assert_eq!(a.dims(), b.dims());
-            for (x, y) in a.data().iter().zip(b.data()) {
-                assert!(
-                    (x - y).abs() <= 1e-5 * y.abs().max(1.0),
-                    "nf={nf}: streamed {x} vs direct {y}"
-                );
+            for end_day in [30, 60, 79] {
+                let a = s.window(&p, end_day, 12, nf);
+                let b = window_features(&p, end_day, 12, nf);
+                assert_eq!(a.dims(), b.dims());
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "nf={nf}, end day {end_day}");
             }
         }
-    }
-
-    #[test]
-    fn close_feature_is_bitwise_identical_to_direct() {
-        // Feature 0 (normalised close) involves no rolling state at all —
-        // it must match `window_features` exactly, not just to tolerance.
-        let p = toy_prices(60, 2);
-        let s = FeatureStream::from_prices(&p);
-        let a = s.window(&p, 40, 8, 1);
-        let b = window_features(&p, 40, 8, 1);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -88,9 +88,8 @@ pub struct MarketSim {
     pub returns: Tensor,
     /// Config used (kept for introspection / case studies).
     pub config: SynthConfig,
-    /// Resumable generator state after the last filled day. `None` for
-    /// datasets loaded from CSV, which cannot be advanced.
-    state: Option<SimState>,
+    /// Resumable generator state after the last filled day.
+    state: SimState,
 }
 
 /// Everything the day loop carries between iterations. Keeping it owned (the
@@ -174,7 +173,7 @@ impl MarketSim {
             prev_ret: vec![0.0; n],
             incoming,
         };
-        MarketSim { prices, returns, config, state: Some(state) }
+        MarketSim { prices, returns, config, state }
     }
 
     /// Generate the next day's prices/returns and append them. This is the
@@ -185,7 +184,7 @@ impl MarketSim {
         let n = self.config.n_stocks;
         let day = self.prices.dims()[0];
         let cfg = &self.config;
-        let st = self.state.as_mut().expect("cannot advance a CSV-loaded market");
+        let st = &mut self.state;
         // Factor updates.
         st.market_f = cfg.market_ar * st.market_f
             + cfg.market_vol * randn(&mut st.rng)
@@ -226,7 +225,6 @@ impl MarketSim {
     /// point; shock timing, RNG draws, and spillover evaluation are exactly
     /// those a batch run of the extended length would have made.
     pub fn append_day(&mut self) -> usize {
-        assert!(self.state.is_some(), "cannot advance a CSV-loaded market");
         self.config.days += 1;
         self.fill_next_day();
         self.config.days - 1
@@ -236,8 +234,7 @@ impl MarketSim {
     /// Appends to both the config list and the follower's incoming list so
     /// the f32 summation order matches a from-scratch rebuild.
     pub fn add_spillover_edge(&mut self, e: WikiEdge) {
-        let st = self.state.as_mut().expect("cannot mutate a CSV-loaded market");
-        st.incoming[e.follower].push(e.clone());
+        self.state.incoming[e.follower].push(e.clone());
         self.config.spillover_edges.push(e);
     }
 
@@ -250,19 +247,12 @@ impl MarketSim {
         };
         let before = self.config.spillover_edges.len();
         self.config.spillover_edges.retain(|e| !hit(e));
-        if let Some(st) = self.state.as_mut() {
-            st.incoming[a].retain(|e| !hit(e));
-            if b != a {
-                st.incoming[b].retain(|e| !hit(e));
-            }
+        let incoming = &mut self.state.incoming;
+        incoming[a].retain(|e| !hit(e));
+        if b != a {
+            incoming[b].retain(|e| !hit(e));
         }
         before - self.config.spillover_edges.len()
-    }
-
-    /// Build a `MarketSim` from externally supplied prices/returns (CSV
-    /// loading). The result cannot be advanced day-by-day.
-    pub fn from_history(prices: Tensor, returns: Tensor, config: SynthConfig) -> MarketSim {
-        MarketSim { prices, returns, config, state: None }
     }
 
     pub fn n_stocks(&self) -> usize {
@@ -463,7 +453,7 @@ mod tests {
         sim.append_day();
         // Rebuild the per-follower grouping from the final config list and
         // compare with the live state ordering.
-        let st = sim.state.as_ref().expect("synthetic sims keep state");
+        let st = &sim.state;
         let mut expect: Vec<Vec<(usize, usize)>> = vec![Vec::new(); sim.n_stocks()];
         for e in &sim.config.spillover_edges {
             expect[e.follower].push((e.leader, e.period));

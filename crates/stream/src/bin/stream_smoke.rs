@@ -1,8 +1,8 @@
 //! Streaming smoke harness (`run_experiments.sh --stream-smoke`): train a
 //! tiny RT-GCN on a wiki-bearing universe truncated right before the crash
 //! shock, then walk it forward day by day through the streaming engine —
-//! incremental features, per-plane adjacency refresh, one edge add and one
-//! edge drop mid-walk, scheduled walk-forward refits — verifying bitwise
+//! incremental features, streamed scoring, one edge add and one edge drop
+//! mid-walk, scheduled walk-forward refits — verifying bitwise
 //! parity against a from-scratch rebuild after the walk.
 //!
 //! The lagged walk-forward MRR / top-k return series land in the

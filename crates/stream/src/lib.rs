@@ -7,42 +7,33 @@
 //! Each [`StreamEngine::advance`] call:
 //!
 //! 1. applies any relation mutations ([`DayEvent`] edge adds/drops) and,
-//!    when a relation flag actually flipped, swaps the per-plane dot cache
-//!    onto the new edge set (dotting only the new edges over the history)
-//!    and asks the model to absorb the new tensor
-//!    ([`StockRanker::refresh_relations`]);
+//!    when a relation flag actually flipped, asks the model to absorb the
+//!    new tensor ([`StockRanker::refresh_relations`]);
 //! 2. appends one simulated day to the dataset (bit-identical to batch
 //!    generation — see [`StockDataset::generate_through`]);
-//! 3. updates the rolling moving-average state in O(1) per (stock, window)
-//!    ([`FeatureStream::push_day`]) and refreshes exactly one time plane of
-//!    the time-sensitive adjacency ([`TimePlaneCache::push_day`]);
+//! 3. records the new day's moving averages ([`FeatureStream::push_day`]),
+//!    so a window is a lookup instead of a rescan of the price history;
 //! 4. settles yesterday's prediction against the newly observable return
 //!    (lagged next-day MRR / top-k return, the walk-forward protocol);
-//! 5. re-scores the newest window through
-//!    [`StockRanker::score_window_streamed`], handing the model the cached
-//!    `(T, E_rel)` correlation factor so the time-sensitive strategy skips
-//!    re-dotting `T − 1` already-seen planes (`None` once the model has
-//!    refused a relation refresh, since the cache then holds a different
-//!    edge set from the model's);
+//! 5. re-scores the newest window through [`StockRanker::score_window`],
+//!    the path `POST /score` takes, so a streamed ranking is the batch
+//!    scoring of that day's `window_features` window, bit for bit;
 //! 6. consults the [`RefitPolicy`] (day-count schedule or MRR drift) and
 //!    retrains on the extended history when it fires.
 //!
 //! ## Parity contract
 //!
 //! Every piece of incremental state is a pure function of the day sequence:
-//! [`StreamEngine::verify_parity`] rebuilds the dataset, feature stream,
-//! and plane cache from scratch — replaying the recorded [`DayEvent`]s at
-//! the days they originally landed — and demands **bitwise** equality,
-//! including a fresh re-score through the same streamed path. "Close
-//! enough" is not accepted: a single ulp of drift compounds over a long
-//! walk.
+//! [`StreamEngine::verify_parity`] rebuilds the dataset and feature stream
+//! from scratch — replaying the recorded [`DayEvent`]s at the days they
+//! originally landed — and demands **bitwise** equality, including a fresh
+//! re-score of the held prediction. "Close enough" is not accepted: a
+//! single ulp of drift compounds over a long walk.
 
 use parking_lot::Mutex;
 use rtgcn_core::{RefitPolicy, RefitReason, StockRanker};
 use rtgcn_eval::metrics::{daily_topk_return, reciprocal_rank};
-use rtgcn_graph::TimePlaneCache;
 use rtgcn_market::{DayEvent, FeatureStream, RelationKind, StockDataset, WARMUP_DAYS};
-use rtgcn_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,7 +45,7 @@ pub type SharedModel = Arc<Mutex<Box<dyn StockRanker + Send>>>;
 
 /// Static streaming configuration. `t_steps`/`n_features`/`relation_kind`
 /// must match what the model was trained with — the engine assembles
-/// windows and correlation factors for exactly this shape.
+/// windows of exactly this shape.
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
     pub t_steps: usize,
@@ -95,7 +86,7 @@ pub struct DayOutcome {
 }
 
 /// The day-advance orchestrator. Owns a dataset it rolls forward plus the
-/// incremental feature/plane state, and drives a shared ranker.
+/// incremental feature state, and drives a shared ranker.
 pub struct StreamEngine {
     cfg: StreamConfig,
     ds: StockDataset,
@@ -107,12 +98,7 @@ pub struct StreamEngine {
     /// Relation mutations by the day they took effect on.
     events: Vec<(usize, DayEvent)>,
     features: FeatureStream,
-    planes: TimePlaneCache,
     model: SharedModel,
-    /// Whether the model's relation edges are `planes`' edge set, so it may
-    /// take the cached correlation factor. Cleared when the model refuses a
-    /// relation refresh.
-    model_has_plane_edges: bool,
     /// Scores awaiting next-day settlement: `(end_day, scores)`.
     last_scores: Option<(usize, Vec<f32>)>,
     /// Lagged MRRs observed since the last (re)fit, newest last.
@@ -135,7 +121,6 @@ impl StreamEngine {
     /// (no pre-construction mutations — the rebuild replays only events the
     /// engine itself witnessed).
     pub fn new(ds: StockDataset, model: SharedModel, cfg: StreamConfig) -> Self {
-        let n = ds.n_stocks();
         let last_day = ds.days_generated().checked_sub(1).expect("empty dataset");
         assert!(
             last_day + 1 >= WARMUP_DAYS + cfg.t_steps,
@@ -143,9 +128,6 @@ impl StreamEngine {
             cfg.t_steps
         );
         let features = FeatureStream::from_prices(&ds.sim.prices);
-        let edges = ds.relations(cfg.relation_kind).directed_edges();
-        let raw = raw_history(&features, &ds.sim.prices, cfg.n_features);
-        let planes = TimePlaneCache::from_history(n, cfg.n_features, edges, &raw);
         let seed = ds.sim.config.seed;
         let start_days = ds.days_generated();
         let mut engine = StreamEngine {
@@ -155,9 +137,7 @@ impl StreamEngine {
             start_days,
             events: Vec::new(),
             features,
-            planes,
             model,
-            model_has_plane_edges: true,
             last_scores: None,
             mrr_history: Vec::new(),
             baseline_mrr: f32::NAN,
@@ -201,7 +181,7 @@ impl StreamEngine {
             Some(ev) => {
                 let changed = self.ds.apply_event(ev);
                 if changed {
-                    self.rebuild_relation_state();
+                    self.refresh_model_relations();
                 }
                 changed
             }
@@ -212,8 +192,6 @@ impl StreamEngine {
             self.events.push((day, ev));
         }
         self.features.push_day(&self.ds.sim.prices);
-        let row = raw_row(&self.features, &self.ds.sim.prices, day, self.cfg.n_features);
-        self.planes.push_day(&row);
 
         // Settle yesterday's prediction: its next-day return just became
         // observable.
@@ -266,18 +244,15 @@ impl StreamEngine {
         outcome
     }
 
-    /// Score the window ending at `day` through the streamed path, handing
-    /// the model the cached correlation factor while its edge set matches.
-    /// Falls back to the dataset scoring path for models that cannot score
+    /// Score the window ending at `day` through [`StockRanker::score_window`],
+    /// falling back to the dataset scoring path for models that cannot score
     /// raw windows.
     fn score_day(&mut self, day: usize) -> (Vec<f32>, u64) {
         let x = self.features.window(&self.ds.sim.prices, day, self.cfg.t_steps, self.cfg.n_features);
-        let corr = self.model_has_plane_edges.then(|| self.corr_for(day));
         let t0 = Instant::now();
         let scores = {
             let mut m = self.model.lock();
-            m.score_window_streamed(&x, corr.as_ref())
-                .unwrap_or_else(|| m.scores_for_day(&self.ds, day))
+            m.score_window(&x).unwrap_or_else(|| m.scores_for_day(&self.ds, day))
         };
         let ns = t0.elapsed().as_nanos() as u64;
         rtgcn_telemetry::record_ns("stream.score_ns", ns);
@@ -285,28 +260,11 @@ impl StreamEngine {
         (scores, ns)
     }
 
-    /// Assemble the `(T, E_rel)` correlation factor for the window ending
-    /// at `day` from the plane cache, with this window's anchors.
-    fn corr_for(&self, day: usize) -> Tensor {
-        let n = self.ds.n_stocks();
-        let data = self.ds.sim.prices.data();
-        // Same per-stock anchor (and clamp) `window_features` divides by.
-        let anchors: Vec<f32> = (0..n).map(|i| data[day * n + i].max(1e-6)).collect();
-        let scale = (self.cfg.n_features as f32).sqrt();
-        self.planes.corr_window(day, self.cfg.t_steps, &anchors, scale)
-    }
-
-    /// After a relation mutation: swap the plane cache onto the new edge
-    /// set (surviving edges keep their cached dots; only new edges are
-    /// dotted over the history) and hand the model the new tensor. A model
-    /// that cannot absorb it keeps scoring its old graph through its own
-    /// exact path: the engine stops handing it correlation factors, which
-    /// now cover the new edge set.
-    fn rebuild_relation_state(&mut self) {
+    /// After a relation mutation: hand the model the new tensor. A model
+    /// that cannot absorb it keeps scoring its old graph.
+    fn refresh_model_relations(&mut self) {
         let relations = self.ds.relations(self.cfg.relation_kind);
-        self.planes.set_edges(relations.directed_edges());
-        self.model_has_plane_edges = self.model.lock().refresh_relations(&relations);
-        if !self.model_has_plane_edges {
+        if !self.model.lock().refresh_relations(&relations) {
             rtgcn_telemetry::warn(
                 "stream.refresh_relations",
                 "model could not absorb the mutated relation tensor; \
@@ -351,9 +309,9 @@ impl StreamEngine {
     }
 
     /// Prove the streamed state bit-identical to a from-scratch rebuild:
-    /// prices/returns, rolling feature state, per-plane dots, and a fresh
-    /// re-score of the outstanding prediction. `Err` carries the first
-    /// divergence found.
+    /// prices/returns, the relation edge set, the recorded moving averages,
+    /// and a fresh re-score of the outstanding prediction. `Err` carries the
+    /// first divergence found.
     pub fn verify_parity(&self) -> Result<(), String> {
         let fresh = self.rebuild_dataset();
         if fresh.sim.prices != self.ds.sim.prices {
@@ -362,15 +320,14 @@ impl StreamEngine {
         if fresh.sim.returns != self.ds.sim.returns {
             return Err("returns diverge from the batch rebuild".into());
         }
-        let relations = fresh.relations(self.cfg.relation_kind);
-        if relations.directed_edges() != self.planes.edges() {
+        let kind = self.cfg.relation_kind;
+        if fresh.relations(kind).directed_edges() != self.ds.relations(kind).directed_edges() {
             return Err("relation edge set diverges from the batch rebuild".into());
         }
 
         let n = self.ds.n_stocks();
-        let days = self.ds.days_generated();
         let ff = FeatureStream::from_prices(&fresh.sim.prices);
-        for day in 0..days {
+        for day in 0..self.ds.days_generated() {
             for stock in 0..n {
                 for k in 0..3 {
                     let (a, b) = (self.features.raw_ma(day, stock, k), ff.raw_ma(day, stock, k));
@@ -383,39 +340,13 @@ impl StreamEngine {
             }
         }
 
-        let raw = raw_history(&ff, &fresh.sim.prices, self.cfg.n_features);
-        let fp = TimePlaneCache::from_history(
-            n,
-            self.cfg.n_features,
-            relations.directed_edges(),
-            &raw,
-        );
-        // Unit anchors / unit scale expose the raw per-edge dots verbatim
-        // (division by 1.0 is exact), over every generated plane at once.
-        let ones = vec![1.0f32; n];
-        let (a, b) =
-            (self.planes.corr_window(days - 1, days, &ones, 1.0), fp.corr_window(days - 1, days, &ones, 1.0));
-        let (ab, bb): (Vec<u32>, Vec<u32>) = (
-            a.data().iter().map(|v| v.to_bits()).collect(),
-            b.data().iter().map(|v| v.to_bits()).collect(),
-        );
-        if ab != bb {
-            return Err("per-plane dots diverge from the batch rebuild".into());
-        }
-
         // The outstanding prediction must reproduce exactly when the window
-        // and correlation factor are reassembled from the rebuilt state.
+        // is reassembled from the rebuilt state.
         let (day, held) = self.latest_scores();
         let x = ff.window(&fresh.sim.prices, day, self.cfg.t_steps, self.cfg.n_features);
-        let data = fresh.sim.prices.data();
-        let anchors: Vec<f32> = (0..n).map(|i| data[day * n + i].max(1e-6)).collect();
-        let corr = self.model_has_plane_edges.then(|| {
-            fp.corr_window(day, self.cfg.t_steps, &anchors, (self.cfg.n_features as f32).sqrt())
-        });
         let rescored = {
             let mut m = self.model.lock();
-            m.score_window_streamed(&x, corr.as_ref())
-                .unwrap_or_else(|| m.scores_for_day(&fresh, day))
+            m.score_window(&x).unwrap_or_else(|| m.scores_for_day(&fresh, day))
         };
         if rescored.len() != held.len()
             || rescored.iter().zip(held).any(|(a, b)| a.to_bits() != b.to_bits())
@@ -424,30 +355,6 @@ impl StreamEngine {
         }
         Ok(())
     }
-}
-
-/// One day's raw (pre-anchor) feature row, `n × d` row-major:
-/// `[close, 5-day MA, 10-day MA, 20-day MA][..d]` per stock.
-fn raw_row(features: &FeatureStream, prices: &Tensor, day: usize, n_features: usize) -> Vec<f32> {
-    let n = features.n_stocks();
-    let data = prices.data();
-    let mut row = vec![0.0f32; n * n_features];
-    for i in 0..n {
-        row[i * n_features] = data[day * n + i];
-        for f in 0..n_features - 1 {
-            row[i * n_features + 1 + f] = features.raw_ma(day, i, f);
-        }
-    }
-    row
-}
-
-/// Full raw feature history `(days, n, d)` for seeding a plane cache.
-fn raw_history(features: &FeatureStream, prices: &Tensor, n_features: usize) -> Vec<f32> {
-    let mut out = Vec::with_capacity(features.days() * features.n_stocks() * n_features);
-    for day in 0..features.days() {
-        out.extend_from_slice(&raw_row(features, prices, day, n_features));
-    }
-    out
 }
 
 fn refit_counter() -> &'static rtgcn_telemetry::Counter {

@@ -1,8 +1,9 @@
-//! The streaming parity suite (ISSUE acceptance gate): a K-day walk with
-//! relation mutations mid-stream, crossing the crash shock at
-//! `test_start()`, must stay **bit-identical** to a from-scratch batch
-//! rebuild at every day — dataset, rolling features, per-plane dots, and
-//! the held prediction itself.
+//! The streaming parity suite: a K-day walk with relation mutations
+//! mid-stream, crossing the crash shock at `test_start()`, must stay
+//! **bit-identical** to a from-scratch batch rebuild at every day — dataset,
+//! relation edges, moving averages, and the held prediction itself — and
+//! each streamed ranking must equal the batch scoring of its day's
+//! `window_features` window, bit for bit.
 
 use rtgcn_core::{FitReport, RefitPolicy, RefitReason, RtGcn, RtGcnConfig, StockRanker, Strategy};
 use rtgcn_market::{
@@ -109,28 +110,30 @@ fn streamed_walk_with_mutations_is_bit_identical_to_rebuild() {
     assert!(scores.iter().all(|s| s.is_finite()));
 }
 
-#[test]
-fn streamed_scores_match_batch_scoring_to_tolerance() {
-    // Cross-path check: the cached-plane fast path against the model's own
-    // batch path over `window_features`. Different op order, so float
-    // tolerance — the bitwise contract lives in verify_parity.
-    let mut engine = trained_engine(17, RefitPolicy::disabled());
-    for _ in 0..3 {
-        engine.advance(None);
-    }
+/// The held prediction and the model's batch scoring of the same day's
+/// `window_features` window, as bits. `scores_for_day` would demand the
+/// not-yet-generated next-day target, so the batch path scores the window
+/// directly, as `POST /score` does.
+fn streamed_and_batch_bits(engine: &StreamEngine) -> (Vec<u32>, Vec<u32>) {
     let (day, streamed) = engine.latest_scores();
-    let streamed = streamed.to_vec();
-    let model = engine.model();
-    // `scores_for_day` would demand the not-yet-generated next-day target,
-    // so the batch path scores the `window_features` window directly.
     let x = rtgcn_market::window_features(&engine.dataset().sim.prices, day, T_STEPS, N_FEATURES);
-    let batch = model.lock().score_window(&x).expect("RT-GCN scores raw windows");
-    assert_eq!(streamed.len(), batch.len());
-    for (s, b) in streamed.iter().zip(&batch) {
-        assert!(
-            (s - b).abs() <= 1e-3 * b.abs().max(1.0),
-            "streamed {s} vs batch {b} at day {day}"
-        );
+    let batch = engine.model().lock().score_window(&x).expect("RT-GCN scores raw windows");
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    (bits(streamed), bits(&batch))
+}
+
+#[test]
+fn streamed_scores_equal_batch_scoring_bitwise() {
+    let mut engine = trained_engine(17, RefitPolicy::disabled());
+    for step in 0..6 {
+        let event = match step {
+            1 => Some(add_event(engine.dataset())),
+            4 => Some(drop_event(engine.dataset())),
+            _ => None,
+        };
+        let out = engine.advance(event);
+        let (streamed, batch) = streamed_and_batch_bits(&engine);
+        assert_eq!(streamed, batch, "day {}", out.day);
     }
 }
 
@@ -200,23 +203,24 @@ impl StockRanker for StaleGraph {
     fn scores_for_day(&mut self, ds: &StockDataset, end_day: usize) -> Vec<f32> {
         self.0.scores_for_day(ds, end_day)
     }
-    fn score_window_streamed(&mut self, x: &Tensor, corr: Option<&Tensor>) -> Option<Vec<f32>> {
-        self.0.score_window_streamed(x, corr)
+    fn score_window(&mut self, x: &Tensor) -> Option<Vec<f32>> {
+        self.0.score_window(x)
     }
 }
 
 #[test]
-fn a_model_that_refuses_a_refresh_gets_no_cached_correlation() {
+fn a_model_that_refuses_a_refresh_keeps_scoring_its_graph() {
     let (ds, model) = trained_model(37);
     let mut cfg = StreamConfig::new(T_STEPS, N_FEATURES, RelationKind::Both);
     cfg.top_k = 3;
     let mut engine = StreamEngine::new(ds, share_model(StaleGraph(model)), cfg);
     for step in 0..3 {
-        // After the add, the plane cache covers one more edge than the
-        // model's graph: handing the model its correlation would fail
-        // RT-GCN's shape assert.
+        // After the add, the dataset holds one more edge than the model's
+        // graph; the model goes on scoring the graph it has.
         let event = (step == 0).then(|| add_event(engine.dataset()));
         let out = engine.advance(event);
         engine.verify_parity().unwrap_or_else(|e| panic!("day {}: {e}", out.day));
+        let (streamed, batch) = streamed_and_batch_bits(&engine);
+        assert_eq!(streamed, batch, "day {}", out.day);
     }
 }

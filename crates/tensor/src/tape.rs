@@ -58,6 +58,9 @@ struct Node {
 pub struct Tape {
     nodes: Vec<Node>,
     grads: Vec<Option<Tensor>>,
+    /// Gradients `backward` already summed into another; `release` hands
+    /// them to the spare set with the rest.
+    spent: Vec<Vec<f32>>,
 }
 
 impl Default for Tape {
@@ -70,7 +73,7 @@ impl Tape {
     /// An empty tape, which claims the spare buffers the last tape left.
     pub fn new() -> Self {
         crate::spares::claim();
-        Tape { nodes: Vec::new(), grads: Vec::new() }
+        Tape { nodes: Vec::new(), grads: Vec::new(), spent: Vec::new() }
     }
 
     /// Number of recorded nodes.
@@ -204,7 +207,10 @@ impl Tape {
                         "gradient shape mismatch for parent {p} of node {i}"
                     );
                     match &mut grads[p] {
-                        Some(acc) => acc.add_assign(&pg),
+                        Some(acc) => {
+                            acc.add_assign(&pg);
+                            self.spent.push(pg.into_data());
+                        }
                         slot @ None => *slot = Some(pg),
                     }
                 }
@@ -225,7 +231,7 @@ impl Tape {
     fn release(&mut self) {
         let values = self.nodes.drain(..).map(|node| node.value.into_data());
         let grads = self.grads.drain(..).flatten().map(Tensor::into_data);
-        crate::spares::recycle(values.chain(grads));
+        crate::spares::recycle(values.chain(grads).chain(self.spent.drain(..)));
     }
 }
 

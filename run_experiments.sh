@@ -48,8 +48,8 @@
 #                     then run rtgcn-stream-smoke — train a 1-seed RT-GCN
 #                     just before the crash shock and walk it forward day
 #                     by day through the streaming engine (incremental
-#                     features, per-plane adjacency refresh, one edge add
-#                     and one drop, scheduled refits), proving bitwise
+#                     features, streamed scoring, one edge add and one
+#                     drop, scheduled refits), proving bitwise
 #                     parity against a from-scratch rebuild; also runs
 #                     inside the default queue's gate
 #   --resume          resume smoke check (skips the full queue): start a

@@ -333,7 +333,7 @@ fn relational_gradient_check(
 #[test]
 fn fused_relational_conv_gradient_check_all_strategies() {
     relational_gradient_check(|tape, store, conv, ctx, x3| {
-        conv.forward(tape, store, ctx, x3, None)
+        conv.forward(tape, store, ctx, x3)
     });
 }
 
@@ -436,7 +436,7 @@ fn assert_layer_parity(
     let mut prng = init::rng(seed);
     let conv = RelationalConv::new(&mut store, "rc", d, f, ctx.k_types, strategy, &mut prng);
     let batched = layer_outputs_and_grads(&mut store, &x, &r, |tape, store, x3| {
-        conv.forward(tape, store, &ctx, x3, None)
+        conv.forward(tape, store, &ctx, x3)
     });
     let serial = layer_outputs_and_grads(&mut store, &x, &r, |tape, store, x3| {
         reference_forward(tape, store, &conv, &ctx, x3)
