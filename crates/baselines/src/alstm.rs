@@ -207,7 +207,7 @@ impl StockRanker for ALstm {
         let logits = self.logits_from_latent(&mut tape, e);
         let lv = tape.value(logits);
         let n = lv.dims()[0];
-        let out = (0..n)
+        (0..n)
             .map(|i| {
                 let row = &lv.data()[i * 3..(i + 1) * 3];
                 let cls = (0..3).max_by(|&a, &b| row[a].total_cmp(&row[b])).unwrap();
@@ -217,9 +217,7 @@ impl StockRanker for ALstm {
                     _ => 0.0,
                 }
             })
-            .collect();
-        self.store.clear_bindings();
-        out
+            .collect()
     }
 
     fn can_rank(&self) -> bool {
@@ -279,7 +277,6 @@ mod tests {
         let mut tape = Tape::new();
         let e = m.latent(&mut tape, &s.x);
         assert_eq!(tape.value(e).dims(), &[8, 16]);
-        m.store.clear_bindings();
     }
 
     #[test]

@@ -163,7 +163,6 @@ impl StockRanker for Dqn {
                     let mut tape = Tape::new();
                     let q = m.q_values(&mut tape, &states);
                     let qv = tape.value(q);
-                    m.store.clear_bindings();
                     (0..states.len())
                         .map(|i| if qv.at(&[i, 1]) > qv.at(&[i, 0]) { 1 } else { 0 })
                         .collect()
@@ -199,9 +198,7 @@ impl StockRanker for Dqn {
         let mut tape = Tape::new();
         let q = self.q_values(&mut tape, &states);
         let qv = tape.value(q);
-        let out = (0..states.len()).map(|i| qv.at(&[i, 1]) - qv.at(&[i, 0])).collect();
-        self.store.clear_bindings();
-        out
+        (0..states.len()).map(|i| qv.at(&[i, 1]) - qv.at(&[i, 0])).collect()
     }
 }
 

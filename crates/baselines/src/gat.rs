@@ -207,9 +207,7 @@ impl StockRanker for RtGat {
         let s = ds.sample(end_day, self.cfg.t_steps, self.cfg.n_features);
         let mut tape = Tape::new();
         let pred = self.forward(&mut tape, &s.x, false);
-        let out = tape.value(pred).data().to_vec();
-        self.store.clear_bindings();
-        out
+        tape.value(pred).data().to_vec()
     }
 }
 
@@ -273,7 +271,6 @@ mod tests {
                 assert!((s - 1.0).abs() < 1e-4, "plane {p}: attention at node {i} sums to {s}");
             }
         }
-        m.store.clear_bindings();
     }
 
     #[test]

@@ -157,7 +157,6 @@ impl StockRanker for Irdpg {
                 let actor_loss = tape.add(bc_scaled, neg_q);
                 let (loss, grad_norm) =
                     optimise_step(&mut tape, actor_loss, &mut m.actor_store, actor_opt, 5.0);
-                m.critic_store.clear_bindings();
                 // Pass 2: critic TD regression with the taken actions.
                 let mut tape2 = Tape::new();
                 let (state2, action2) = m.encode_and_act(&mut tape2, &s.x);
@@ -173,7 +172,6 @@ impl StockRanker for Irdpg {
                 let q2 = m.critic_q(&mut tape2, state2, action2, false);
                 let critic_loss = tape2.mse(q2, &rewards);
                 optimise_step(&mut tape2, critic_loss, &mut m.critic_store, &mut critic_opt, 5.0);
-                m.actor_store.clear_bindings();
                 StepStats { loss, mse: 0.0, rank: 0.0, grad_norm }
             },
             |m| m.actor_store.value_norm(),
@@ -184,10 +182,7 @@ impl StockRanker for Irdpg {
         let s = ds.sample(end_day, self.cfg.t_steps, self.cfg.n_features);
         let mut tape = Tape::new();
         let (_, action) = self.encode_and_act(&mut tape, &s.x);
-        let out = tape.value(action).data().to_vec();
-        self.actor_store.clear_bindings();
-        self.critic_store.clear_bindings();
-        out
+        tape.value(action).data().to_vec()
     }
 }
 

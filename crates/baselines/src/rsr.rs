@@ -173,9 +173,7 @@ impl Rsr {
     fn score(&self, x: &Tensor) -> Vec<f32> {
         let mut tape = Tape::new();
         let pred = self.forward(&mut tape, x);
-        let out = tape.value(pred).data().to_vec();
-        self.store.clear_bindings();
-        out
+        tape.value(pred).data().to_vec()
     }
 }
 

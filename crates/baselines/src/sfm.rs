@@ -190,9 +190,7 @@ impl StockRanker for Sfm {
         let s = ds.sample(end_day, self.cfg.t_steps, self.cfg.n_features);
         let mut tape = Tape::new();
         let pred = self.forward(&mut tape, &s.x);
-        let out = tape.value(pred).data().to_vec();
-        self.store.clear_bindings();
-        out
+        tape.value(pred).data().to_vec()
     }
 }
 
@@ -234,7 +232,6 @@ mod tests {
         let mut tape = Tape::new();
         let pred = m.forward(&mut tape, &s.x);
         assert_eq!(tape.value(pred).dims(), &[6]);
-        m.store.clear_bindings();
     }
 
     #[test]

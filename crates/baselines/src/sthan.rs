@@ -205,9 +205,7 @@ impl Sthan {
     fn score(&self, x: &Tensor) -> Vec<f32> {
         let mut tape = Tape::new();
         let pred = self.forward(&mut tape, x);
-        let out = tape.value(pred).data().to_vec();
-        self.store.clear_bindings();
-        out
+        tape.value(pred).data().to_vec()
     }
 }
 

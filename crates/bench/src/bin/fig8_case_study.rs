@@ -60,7 +60,7 @@ fn main() {
     let snaps = model.adjacency_snapshot(&sample.x);
     let mut edge_weights = Vec::new();
     println!("(a) learned relational subgraph (mean |A(t)| across the window):");
-    for (e, p) in model.ctx.edges.pairs.iter().enumerate() {
+    for (e, p) in model.ctx.csr.edges.pairs.iter().enumerate() {
         let (s, d) = (p[0], p[1]);
         if s < d && stocks.contains(&s) && stocks.contains(&d) {
             let w: f32 =

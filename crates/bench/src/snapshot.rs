@@ -270,19 +270,28 @@ pub fn render_markdown(snap: &BenchSnapshot) -> String {
     out.push_str("|---|---|---:|---:|---:|---:|---:|---:|\n");
     for m in &snap.models {
         let day = m.hists.iter().find(|h| h.name == "backtest.day_score_ns");
-        let (p50, p95, p99) = day
-            .map(|h| (fmt_ms(h.p50_ns), fmt_ms(h.p95_ns), fmt_ms(h.p99_ns)))
-            .unwrap_or_else(|| ("-".into(), "-".into(), "-".into()));
+        let (p50, p95, p99, days_per_sec) = day
+            .map(|h| {
+                let rate = format!("{:.1}", m.backtest_days_per_sec);
+                (fmt_ms(h.p50_ns), fmt_ms(h.p95_ns), fmt_ms(h.p99_ns), rate)
+            })
+            .unwrap_or_else(|| ("-".into(), "-".into(), "-".into(), "-".into()));
+        // A model that ran no epochs (ARIMA) has no epoch time either.
+        let (epochs, epoch_secs) = if m.epochs == 0 {
+            ("-".into(), "-".into())
+        } else {
+            (m.epochs.to_string(), format!("{:.3}", m.epoch_secs_mean))
+        };
         out.push_str(&format!(
-            "| {} | {} | {} | {:.3} | {} | {} | {} | {:.1} |\n",
+            "| {} | {} | {} | {} | {} | {} | {} | {} |\n",
             m.model,
             if m.health.is_empty() { "-" } else { &m.health },
-            m.epochs,
-            m.epoch_secs_mean,
+            epochs,
+            epoch_secs,
             p50,
             p95,
             p99,
-            m.backtest_days_per_sec,
+            days_per_sec,
         ));
     }
     out
@@ -574,7 +583,27 @@ mod tests {
             models: vec![model_snapshot("m", &sample_events())],
         };
         let md = render_markdown(&snap);
-        assert!(md.contains("| RT-GCN (T) | Healthy | 4 |"), "{md}");
+        assert!(md.contains("| RT-GCN (T) | Healthy | 4 | 2.000 |"), "{md}");
+        assert!(md.contains("| 4.0 |\n"), "{md}");
+    }
+
+    #[test]
+    fn markdown_dashes_epochs_of_a_model_that_ran_none() {
+        let mut m = model_snapshot("m", &sample_events());
+        m.epochs = 0;
+        m.epoch_secs_mean = 0.0;
+        let snap = BenchSnapshot { harness: "table4".into(), created_ms: 0, models: vec![m] };
+        let md = render_markdown(&snap);
+        assert!(md.contains("| RT-GCN (T) | Healthy | - | - | 5.000 |"), "{md}");
+    }
+
+    #[test]
+    fn markdown_dashes_days_per_sec_without_a_day_score_histogram() {
+        let mut m = model_snapshot("m", &sample_events());
+        m.hists.clear();
+        let snap = BenchSnapshot { harness: "table4".into(), created_ms: 0, models: vec![m] };
+        let md = render_markdown(&snap);
+        assert!(md.contains("| 4 | 2.000 | - | - | - | - |\n"), "{md}");
     }
 
     #[test]

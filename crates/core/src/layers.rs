@@ -46,7 +46,7 @@ impl RelationalConv {
     }
 
     /// The strategy's edge weights for one window (Eqs. 3–5), aligned with
-    /// `ctx.edges` (relation edges then self-loops): `(E)` shared by every
+    /// `ctx.csr` (relation edges then self-loops): `(E)` shared by every
     /// plane for Uniform and Weighted, `(T, E)` one row per plane for
     /// TimeSensitive. Always built on the tape, in training and inference
     /// alike.
@@ -58,7 +58,7 @@ impl RelationalConv {
         x3: Var,
     ) -> Var {
         match self.strategy {
-            Strategy::Uniform => tape.constant(Tensor::from_vec(ctx.cache.uniform().to_vec())),
+            Strategy::Uniform => ctx.adjacency_uniform(tape),
             Strategy::Weighted => {
                 let w = store.bind(tape, self.w_rel);
                 let b = store.bind(tape, self.b_rel);
@@ -75,7 +75,7 @@ impl RelationalConv {
     /// Forward over all time-steps at once: `x3` is the full `(T, N, C)`
     /// window, the result `(T, N, F)`. All planes share one
     /// `(T·N, C) × (C, F)` matmul per weight matrix and one batched
-    /// propagation through the cached CSR layout.
+    /// propagation through the shared CSR layout.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, ctx: &StrategyCtx, x3: Var) -> Var {
         let dims = tape.value(x3).dims().to_vec();
         let (t, n, c) = (dims[0], dims[1], dims[2]);
@@ -85,7 +85,7 @@ impl RelationalConv {
         let theta = store.bind(tape, self.theta);
         let x2 = tape.reshape(x3, [t * n, c]);
         let own = tape.matmul(x2, theta_self);
-        let agg = tape.spmm_batched(ctx.csr(), adj, x3); // (T, N, C)
+        let agg = tape.spmm_batched(&ctx.csr, adj, x3); // (T, N, C)
         let agg2 = tape.reshape(agg, [t * n, c]);
         let nbr = tape.matmul(agg2, theta);
         let z = tape.add(own, nbr);
@@ -214,7 +214,6 @@ mod tests {
             let mut tape = Tape::new();
             let xv = tape.constant(Tensor::new([1, 3, 2], x));
             let z = conv.forward(&mut tape, &store, &ctx, xv);
-            store.clear_bindings();
             tape.value(z).reshape([3, 3])
         };
         let base = run(vec![1., 1., 1., 1., 1., 1.]);

@@ -9,7 +9,7 @@ use crate::strategy::StrategyCtx;
 use rand::rngs::StdRng;
 use rtgcn_graph::RelationTensor;
 use rtgcn_tensor::{
-    clip_grad_norm, init, ConvSpec, Optimizer, ParamId, ParamStore, Tape, Tensor, Var,
+    clip_grad_norm, init, ConvSpec, CsrEdges, Optimizer, ParamId, ParamStore, Tape, Tensor, Var,
 };
 use std::time::Instant;
 
@@ -50,18 +50,17 @@ impl RtGcn {
         RtGcn::build(config, relations, StrategyCtx::new(relations), seed)
     }
 
-    /// Like [`RtGcn::new`] but sharing a prebuilt normalised-adjacency
-    /// layout (see [`rtgcn_graph::SharedAdjCache`]): the CSR grouping and
-    /// uniform weights are `Arc`-shared with `cache`. The serving registry
-    /// uses this so concurrent workers over one market never duplicate the
-    /// layout.
-    pub fn with_shared_cache(
+    /// Like [`RtGcn::new`] but sharing a prebuilt
+    /// [`crate::strategy::layout`] of `relations`: the CSR grouping is
+    /// `Arc`-shared with `layout`, so models over one market never duplicate
+    /// it. The serving registry builds through this.
+    pub fn with_layout(
         config: RtGcnConfig,
         relations: &RelationTensor,
-        cache: &rtgcn_graph::SharedAdjCache,
+        layout: &CsrEdges,
         seed: u64,
     ) -> Self {
-        let ctx = StrategyCtx::with_cache(relations, std::sync::Arc::clone(cache));
+        let ctx = StrategyCtx::with_layout(relations, layout.clone());
         RtGcn::build(config, relations, ctx, seed)
     }
 
@@ -170,9 +169,7 @@ impl RtGcn {
     pub fn score(&mut self, x: &Tensor) -> Vec<f32> {
         let mut tape = Tape::new();
         let s = self.forward(&mut tape, x, false);
-        let out = tape.value(s).data().to_vec();
-        self.store.clear_bindings();
-        out
+        tape.value(s).data().to_vec()
     }
 
     /// Rebuild the strategy context for a mutated relation tensor (streaming
@@ -243,7 +240,7 @@ impl RtGcn {
 
     /// Snapshot of the first relational layer's adjacency for
     /// introspection (Figure 8 case study): one weight vector per time-step,
-    /// aligned with `self.ctx.edges` (relation edges then self-loops).
+    /// aligned with `self.ctx.csr` (relation edges then self-loops).
     /// Uniform/Weighted return a single shared snapshot; empty when the
     /// relational module is disabled (T-Conv).
     pub fn adjacency_snapshot(&mut self, x: &Tensor) -> Vec<Vec<f32>> {
@@ -254,10 +251,8 @@ impl RtGcn {
         let mut tape = Tape::new();
         let x3 = tape.constant(x.clone());
         let adj = conv.adjacency(&mut tape, &self.store, &self.ctx, x3);
-        let e = self.ctx.edges.len();
-        let out = tape.value(adj).data().chunks(e).map(<[f32]>::to_vec).collect();
-        self.store.clear_bindings();
-        out
+        let e = self.ctx.csr.len();
+        tape.value(adj).data().chunks(e).map(<[f32]>::to_vec).collect()
     }
 }
 
@@ -406,7 +401,6 @@ mod tests {
         let mut tape = Tape::new();
         let s = model.forward(&mut tape, &x, true);
         let trained: Vec<f32> = tape.value(s).data().to_vec();
-        model.store.clear_bindings();
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&scored), bits(&trained), "inference and training build one adjacency");
     }

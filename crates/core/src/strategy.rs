@@ -5,18 +5,27 @@
 //! strategy parameters `w ∈ R^K, b` (and, for the time-sensitive strategy,
 //! the node features).
 
-use rtgcn_graph::{NormalizedAdjCache, RelationTensor, SharedAdjCache, DEGREE_EPS};
+use rtgcn_graph::RelationTensor;
 use rtgcn_tensor::{CsrEdges, Edges, Tape, Tensor, Var};
 
-/// Static per-dataset context shared by every forward pass: the directed
-/// relation edges with self-loops appended (plus their CSR grouping and the
-/// precomputed Eq. 3 weights in the shared [`NormalizedAdjCache`]) and the
-/// per-edge multi-hot relation vectors.
+/// Minimum degree used in the inverse square root (guards divide-by-zero for
+/// isolated nodes and degenerate learned weights).
+pub const DEGREE_EPS: f32 = 1e-6;
+
+/// The propagation edge set over `relations`: the directed relation edges
+/// followed by one self-loop per node (the `+ I` of `Ã = A + I`),
+/// CSR-grouped. Every strategy lays its edge weights out in this order.
+pub fn layout(relations: &RelationTensor) -> CsrEdges {
+    let n = relations.num_stocks();
+    let mut pairs = relations.directed_edges();
+    pairs.extend((0..n).map(|i| [i, i]));
+    CsrEdges::from_pairs(n, pairs)
+}
+
+/// Static per-dataset context shared by every forward pass: the
+/// propagation [`layout`] and the per-edge multi-hot relation vectors.
 #[derive(Clone, Debug)]
 pub struct StrategyCtx {
-    /// Relation edges followed by one self-loop per node (order matters:
-    /// weight vectors are laid out the same way).
-    pub edges: Edges,
     /// The leading relation edges only (no self-loops), `Arc`-backed; the
     /// edge set of the time-correlation term.
     pub rel_edges: Edges,
@@ -26,28 +35,26 @@ pub struct StrategyCtx {
     pub k_types: usize,
     /// `(E_rel, K)` multi-hot matrix, one row per relation edge.
     pub multi_hot: Tensor,
-    /// CSR layout and the precomputed Eq. 3 weights for the batched
-    /// kernels, immutable and shared by every model over the same graph.
-    pub cache: SharedAdjCache,
+    /// Relation edges then self-loops ([`layout`]), CSR-grouped for the
+    /// batched kernels; `Arc`-backed, so clones share one allocation.
+    pub csr: CsrEdges,
 }
 
 impl StrategyCtx {
     pub fn new(relations: &RelationTensor) -> Self {
-        let rel_pairs = relations.directed_edges();
-        let cache = NormalizedAdjCache::new(relations.num_stocks(), &rel_pairs);
-        StrategyCtx::with_cache(relations, cache.into_shared())
+        StrategyCtx::with_layout(relations, layout(relations))
     }
 
-    /// Like [`Self::new`] but sharing an existing cache's CSR layout and
-    /// uniform weights instead of renormalising from scratch. The cache must
-    /// have been built from the same relation tensor. The serving registry
-    /// uses this so every model over one market shares a single layout
+    /// Like [`Self::new`] but sharing an existing [`layout`] of the same
+    /// relation tensor instead of building one. The serving registry uses
+    /// this so every model over one market shares a single layout
     /// allocation.
-    pub fn with_cache(relations: &RelationTensor, cache: SharedAdjCache) -> Self {
+    pub fn with_layout(relations: &RelationTensor, csr: CsrEdges) -> Self {
         let rel_pairs = relations.directed_edges();
         let n_rel = rel_pairs.len();
-        assert_eq!(cache.n_rel_edges(), n_rel, "cache built from a different relation tensor");
-        assert_eq!(cache.n_nodes(), relations.num_stocks(), "cache node count mismatch");
+        let n = relations.num_stocks();
+        assert_eq!(csr.len(), n_rel + n, "layout built from a different relation tensor");
+        assert_eq!(csr.n(), n, "layout node count mismatch");
         let k = relations.num_types();
         let multi_hot = Tensor::new([n_rel, k.max(1)], if k == 0 {
             vec![0.0; n_rel]
@@ -55,22 +62,16 @@ impl StrategyCtx {
             relations.edge_multi_hot_flat()
         });
         StrategyCtx {
-            edges: cache.edges().clone(),
-            rel_edges: Edges::new(relations.num_stocks(), rel_pairs),
+            rel_edges: Edges::new(n, rel_pairs),
             n_rel_edges: n_rel,
             k_types: k.max(1),
             multi_hot,
-            cache,
+            csr,
         }
     }
 
     pub fn n_nodes(&self) -> usize {
-        self.edges.n
-    }
-
-    /// CSR grouping of [`Self::edges`] for the batched propagation kernels.
-    pub fn csr(&self) -> &CsrEdges {
-        self.cache.csr()
+        self.csr.n()
     }
 
     /// Relation-importance term `𝒜_ijᵀ w + b` per relation edge (shared by
@@ -79,6 +80,16 @@ impl StrategyCtx {
         let hot = tape.constant(self.multi_hot.clone());
         let imp = tape.linear(hot, w, b); // (E_rel, 1)
         tape.reshape(imp, [self.n_rel_edges])
+    }
+
+    /// Uniform strategy (Eq. 3): raw weight 1 on every relation edge and
+    /// self-loop — the weighted strategy at `w = 0, b = 1` — renormalised as
+    /// one plane of [`Self::renormalize_batched`]. Returns `(E_total)`; no
+    /// parameter feeds it.
+    pub fn adjacency_uniform(&self, tape: &mut Tape) -> Var {
+        let raw_all = tape.constant(Tensor::ones([1, self.csr.len()]));
+        let adj = self.renormalize_batched(tape, raw_all, 1);
+        tape.reshape(adj, [self.csr.len()])
     }
 
     /// Weighted strategy (Eq. 4): `A_ij = 𝒜_ijᵀ w + b`, shared across all
@@ -90,7 +101,7 @@ impl StrategyCtx {
         let loops = tape.constant(Tensor::ones([1, self.n_nodes()]));
         let raw_all = tape.concat_cols(imp_row, loops);
         let adj = self.renormalize_batched(tape, raw_all, 1);
-        tape.reshape(adj, [self.edges.len()])
+        tape.reshape(adj, [self.csr.len()])
     }
 
     /// Time-sensitive strategy (Eq. 5):
@@ -130,14 +141,14 @@ impl StrategyCtx {
         let n = self.n_nodes();
         let abs_w = tape.abs(raw_all);
         let ones_col = tape.constant(Tensor::ones([t, n, 1]));
-        let deg3 = tape.spmm_batched(self.csr(), abs_w, ones_col); // (T,N,1): Σ_in |w|
+        let deg3 = tape.spmm_batched(&self.csr, abs_w, ones_col); // (T,N,1): Σ_in |w|
         let deg = tape.reshape(deg3, [t, n]);
         let deg = tape.clamp_min(deg, DEGREE_EPS);
         let sqrt_deg = tape.sqrt(deg);
         let one = tape.constant(Tensor::scalar(1.0));
         let dinv = tape.div(one, sqrt_deg); // broadcast scalar / (T,N)
-        let d_src = tape.gather_src_batched(&self.edges, dinv);
-        let d_dst = tape.gather_dst_batched(&self.edges, dinv);
+        let d_src = tape.gather_src_batched(&self.csr.edges, dinv);
+        let d_dst = tape.gather_dst_batched(&self.csr.edges, dinv);
         let scaled = tape.mul(raw_all, d_src);
         tape.mul(scaled, d_dst)
     }
@@ -155,36 +166,113 @@ mod tests {
         r
     }
 
+    /// Uniform weights of `ctx`, read off the tape.
+    fn uniform_weights(ctx: &StrategyCtx) -> Vec<f32> {
+        let mut tape = Tape::new();
+        let adj = ctx.adjacency_uniform(&mut tape);
+        tape.value(adj).data().to_vec()
+    }
+
+    /// Weight of edge `src → dst` in `weights` (aligned with `ctx.csr`).
+    fn weight(ctx: &StrategyCtx, weights: &[f32], src: usize, dst: usize) -> f32 {
+        let e = ctx.csr.edges.pairs.iter().position(|&p| p == [src, dst]).expect("edge present");
+        weights[e]
+    }
+
     #[test]
     fn ctx_layout() {
-        let ctx = StrategyCtx::new(&triangle_relations());
+        let rel = triangle_relations();
+        let ctx = StrategyCtx::new(&rel);
         assert_eq!(ctx.n_rel_edges, 6, "3 pairs × 2 directions");
-        assert_eq!(ctx.edges.len(), 9, "plus 3 self-loops");
+        assert_eq!(ctx.csr.len(), 9, "plus 3 self-loops");
         assert_eq!(ctx.multi_hot.dims(), &[6, 2]);
-        assert_eq!(ctx.cache.uniform().len(), 9);
+        let (rel_pairs, loops) = ctx.csr.edges.pairs.split_at(6);
+        assert_eq!(rel_pairs, rel.directed_edges().as_slice());
+        assert_eq!(loops, &[[0, 0], [1, 1], [2, 2]]);
+        assert_eq!(uniform_weights(&ctx).len(), 9);
     }
 
     #[test]
     fn uniform_matches_static_renormalisation() {
         let ctx = StrategyCtx::new(&triangle_relations());
         // Triangle with self loops: every node degree 3, all weights 1/3.
-        for &v in ctx.cache.uniform().iter() {
+        for v in uniform_weights(&ctx) {
             assert!((v - 1.0 / 3.0).abs() < 1e-5, "weight {v}");
+        }
+    }
+
+    #[test]
+    fn uniform_two_node_graph_is_one_half_everywhere() {
+        // Ã = [[1,1],[1,1]], D̃ = diag(2,2): every entry 1/2.
+        let mut rel = RelationTensor::new(2, 1);
+        rel.connect(0, 1, 0);
+        let ctx = StrategyCtx::new(&rel);
+        let weights = uniform_weights(&ctx);
+        assert_eq!(weights.len(), 4);
+        for v in weights {
+            assert!((v - 0.5).abs() < 1e-6, "weight {v}");
+        }
+    }
+
+    #[test]
+    fn uniform_isolated_node_keeps_unit_self_loop() {
+        let mut rel = RelationTensor::new(3, 1);
+        rel.connect(0, 1, 0);
+        let ctx = StrategyCtx::new(&rel);
+        let weights = uniform_weights(&ctx);
+        // Node 2 has degree 1 from its self-loop alone.
+        assert!((weight(&ctx, &weights, 2, 2) - 1.0).abs() < 1e-6);
+        assert!((weight(&ctx, &weights, 0, 1) - 0.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn uniform_rows_sum_to_at_most_one() {
+        // On a regular graph every row of D̃^{-1/2}ÃD̃^{-1/2} sums to 1. (Not
+        // a bound in general: a hub beside leaves sums past 1.)
+        let ctx = StrategyCtx::new(&triangle_relations());
+        let weights = uniform_weights(&ctx);
+        let mut rows = vec![0.0f32; ctx.n_nodes()];
+        for (&[_, d], &w) in ctx.csr.edges.pairs.iter().zip(&weights) {
+            rows[d] += w;
+        }
+        for (i, &s) in rows.iter().enumerate() {
+            assert!(s <= 1.0 + 1e-5, "row {i} sums to {s}");
+            assert!(s > 0.5, "row {i} unexpectedly small: {s}");
+        }
+    }
+
+    #[test]
+    fn negative_raw_weights_use_absolute_degree() {
+        // w = 0, b = −3: raw weight −3 on both directions, so each degree is
+        // |−3| + 1 = 4 — off-diagonal −3/4, self-loops 1/4.
+        let mut rel = RelationTensor::new(2, 1);
+        rel.connect(0, 1, 0);
+        let ctx = StrategyCtx::new(&rel);
+        let mut tape = Tape::new();
+        let w = tape.leaf(Tensor::zeros([1, 1]));
+        let b = tape.leaf(Tensor::from_vec(vec![-3.0]));
+        let adj = ctx.adjacency_weighted(&mut tape, w, b);
+        let weights = tape.value(adj).data().to_vec();
+        for (s, d) in [(0, 1), (1, 0)] {
+            assert!((weight(&ctx, &weights, s, d) + 0.75).abs() < 1e-6);
+        }
+        for i in 0..2 {
+            assert!((weight(&ctx, &weights, i, i) - 0.25).abs() < 1e-6);
         }
     }
 
     #[test]
     fn weighted_reduces_to_uniform_when_w0_b1() {
         // With w = 0 and b = 1 every relation edge gets raw weight 1, so the
-        // weighted strategy must reproduce Eq. 3 exactly.
+        // weighted strategy must reproduce Eq. 3 bit for bit.
         let rel = triangle_relations();
         let ctx = StrategyCtx::new(&rel);
         let mut tape = Tape::new();
         let w = tape.leaf(Tensor::zeros([2, 1]));
         let b = tape.leaf(Tensor::from_vec(vec![1.0]));
         let adj = ctx.adjacency_weighted(&mut tape, w, b);
-        let expect = Tensor::from_vec(ctx.cache.uniform().to_vec());
-        assert!(tape.value(adj).allclose(&expect, 1e-5));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(tape.value(adj).data()), bits(&uniform_weights(&ctx)));
     }
 
     #[test]
@@ -228,7 +316,7 @@ mod tests {
             vec![1., 0., 0., 1., 1., 1., 0.2, 0.9, 0.4, 0.1, 0.8, 0.8],
         ));
         let adj = ctx.adjacency_time_sensitive_batched(&mut tape, w, b, x3);
-        let (a1, a2) = tape.value(adj).data().split_at(ctx.edges.len());
+        let (a1, a2) = tape.value(adj).data().split_at(ctx.csr.len());
         assert_ne!(a1, a2, "adjacency must vary with features");
     }
 
@@ -270,8 +358,8 @@ mod tests {
         let rel = RelationTensor::new(4, 1);
         let ctx = StrategyCtx::new(&rel);
         assert_eq!(ctx.n_rel_edges, 0);
-        assert_eq!(ctx.edges.len(), 4);
-        for &v in ctx.cache.uniform().iter() {
+        assert_eq!(ctx.csr.len(), 4);
+        for v in uniform_weights(&ctx) {
             assert!((v - 1.0).abs() < 1e-6, "isolated self-loop weight 1, got {v}");
         }
     }

@@ -46,8 +46,8 @@ impl RelationTensor {
     }
 
     /// Set relation `k` between stocks `i` and `j` (symmetric). Self
-    /// relations are rejected — the graph adds self-loops separately during
-    /// renormalisation. Returns whether the flag was clear, i.e. whether
+    /// relations are rejected — `rtgcn_core::strategy::layout` adds one
+    /// self-loop per node for the renormalisation. Returns whether the flag was clear, i.e. whether
     /// the tensor changed.
     pub fn connect(&mut self, i: usize, j: usize, k: RelationType) -> bool {
         assert!(i < self.n && j < self.n, "stock index out of range ({i},{j}) for n={}", self.n);

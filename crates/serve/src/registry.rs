@@ -18,10 +18,9 @@
 use crate::servable::{build_model, market_key, ServeError};
 use parking_lot::Mutex;
 use rtgcn_core::{Checkpoint, DataSpec, RefitPolicy};
-use rtgcn_graph::{NormalizedAdjCache, SharedAdjCache};
 use rtgcn_market::{DayEvent, RelationKind, StockDataset};
 use rtgcn_stream::{DayOutcome, SharedModel, StreamConfig, StreamEngine};
-use rtgcn_tensor::Tensor;
+use rtgcn_tensor::{CsrEdges, Tensor};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -60,10 +59,10 @@ impl ModelEntry {
     pub fn from_checkpoint(
         ckpt: &Checkpoint,
         ds: &StockDataset,
-        cache: Option<&SharedAdjCache>,
+        layout: Option<&CsrEdges>,
     ) -> Result<ModelEntry, ServeError> {
         let data = ckpt.data_spec()?;
-        let mut built = build_model(ckpt, ds, cache)?;
+        let mut built = build_model(ckpt, ds, layout)?;
         let end_day = *ds
             .test_end_days()
             .last()
@@ -145,16 +144,18 @@ struct MarketStream {
 }
 
 /// The serving registry: market key → current [`ModelEntry`], plus
-/// per-dataset caches so a hot-swap of the same market reuses the
-/// generated dataset and the shared normalised-adjacency layout instead
-/// of rebuilding them.
+/// per-dataset memos so a hot-swap of the same market reuses the
+/// generated dataset and the shared propagation layout instead of
+/// rebuilding them.
 #[derive(Default)]
 pub struct Registry {
     entries: Mutex<BTreeMap<String, Arc<ModelEntry>>>,
     /// Keyed by the checkpoint's verbatim data JSON (a deterministic
     /// dataset descriptor).
     datasets: Mutex<BTreeMap<String, Arc<StockDataset>>>,
-    adj_caches: Mutex<BTreeMap<String, SharedAdjCache>>,
+    /// [`rtgcn_core::strategy::layout`] per data JSON; clones share the
+    /// `Arc`-backed CSR grouping.
+    layouts: Mutex<BTreeMap<String, CsrEdges>>,
     /// Day-advance engines by market key. Lock order: `streams` before
     /// `entries` — never the reverse.
     streams: Mutex<BTreeMap<String, MarketStream>>,
@@ -191,8 +192,8 @@ impl Registry {
     /// and swap it in. Returns the installed entry.
     pub fn install_checkpoint(&self, ckpt: &Checkpoint) -> Result<Arc<ModelEntry>, ServeError> {
         let ds = self.dataset_for(ckpt)?;
-        let cache = self.adj_cache_for(ckpt, &ds);
-        let entry = Arc::new(ModelEntry::from_checkpoint(ckpt, &ds, Some(&cache))?);
+        let layout = self.layout_for(ckpt, &ds)?;
+        let entry = Arc::new(ModelEntry::from_checkpoint(ckpt, &ds, Some(&layout))?);
         self.install_entry(Arc::clone(&entry));
         Ok(entry)
     }
@@ -288,21 +289,16 @@ impl Registry {
         Ok(ds)
     }
 
-    /// The shared normalised-adjacency layout for the checkpoint's
-    /// dataset descriptor, built at most once per descriptor.
-    fn adj_cache_for(&self, ckpt: &Checkpoint, ds: &StockDataset) -> SharedAdjCache {
-        if let Some(c) = self.adj_caches.lock().get(&ckpt.data_json) {
-            return Arc::clone(c);
+    /// The propagation layout of the checkpoint's relation graph, built at
+    /// most once per dataset descriptor.
+    fn layout_for(&self, ckpt: &Checkpoint, ds: &StockDataset) -> Result<CsrEdges, ServeError> {
+        if let Some(layout) = self.layouts.lock().get(&ckpt.data_json) {
+            return Ok(layout.clone());
         }
-        let kind = ckpt
-            .data_spec()
-            .map(|d| d.relation_kind)
-            .unwrap_or(rtgcn_market::RelationKind::Both);
-        let relations = ds.relations(kind);
-        let cache = NormalizedAdjCache::new(relations.num_stocks(), &relations.directed_edges())
-            .into_shared();
-        self.adj_caches.lock().insert(ckpt.data_json.clone(), Arc::clone(&cache));
-        cache
+        let data = ckpt.data_spec()?;
+        let layout = rtgcn_core::strategy::layout(&ds.relations(data.relation_kind));
+        self.layouts.lock().insert(ckpt.data_json.clone(), layout.clone());
+        Ok(layout)
     }
 }
 

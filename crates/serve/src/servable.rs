@@ -7,8 +7,8 @@
 use crate::probe::{ProbeConfig, WindowSumProbe};
 use rtgcn_baselines::{LstmRanker, Rsr, RsrConfig, SeqConfig, Sthan, SthanConfig};
 use rtgcn_core::{Checkpoint, CheckpointError, DataSpec, RtGcn, RtGcnConfig, StockRanker};
-use rtgcn_graph::SharedAdjCache;
 use rtgcn_market::{Market, StockDataset};
+use rtgcn_tensor::CsrEdges;
 use std::fmt;
 
 /// Family tags understood by [`build_model`].
@@ -116,13 +116,13 @@ fn parse<T: serde::Deserialize>(json: &str, family: &str) -> Result<T, ServeErro
 /// checkpoint's [`DataSpec`]): construct the family from the verbatim
 /// config, force lazy graph state via `prepare`, then restore the trained
 /// parameters. The construction seed is irrelevant — every parameter is
-/// overwritten by the checkpoint — so a fixed 0 is used. When `cache` is
-/// given, RT-GCN shares its normalised-adjacency layout instead of
-/// renormalising from scratch.
+/// overwritten by the checkpoint — so a fixed 0 is used. When `layout` is
+/// given ([`rtgcn_core::strategy::layout`] of the checkpoint's relations),
+/// RT-GCN shares it instead of building its own.
 pub fn build_model(
     ckpt: &Checkpoint,
     ds: &StockDataset,
-    cache: Option<&SharedAdjCache>,
+    layout: Option<&CsrEdges>,
 ) -> Result<BuiltModel, ServeError> {
     let data = ckpt.data_spec()?;
     let mut built = match ckpt.family.as_str() {
@@ -130,8 +130,8 @@ pub fn build_model(
             let cfg: RtGcnConfig = parse(&ckpt.config_json, "rtgcn")?;
             let relations = ds.relations(data.relation_kind);
             let (t, d) = (cfg.t_steps, cfg.n_features);
-            let model = match cache {
-                Some(c) => RtGcn::with_shared_cache(cfg, &relations, c, 0),
+            let model = match layout {
+                Some(l) => RtGcn::with_layout(cfg, &relations, l, 0),
                 None => RtGcn::new(cfg, &relations, 0),
             };
             BuiltModel { model: Box::new(model), t_steps: t, n_features: d }

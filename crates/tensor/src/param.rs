@@ -5,11 +5,12 @@
 //! with [`ParamStore::bind`], runs forward/backward, then calls
 //! [`ParamStore::absorb_grads`] to pull the tape gradients into the
 //! persistent per-parameter gradient buffers consumed by the optimiser.
+//! The tape records the bindings, so they die with it.
 
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
-use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Stable handle to a parameter within one [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,13 +22,28 @@ struct ParamSlot {
     grad: Tensor,
 }
 
+/// One [`ParamStore::bind`] as the tape records it: the binding store's
+/// tag, the parameter and its leaf.
+pub(crate) type Binding = (usize, ParamId, Var);
+
 /// A named collection of trainable tensors with persistent gradients.
-#[derive(Default)]
 pub struct ParamStore {
+    /// Process-unique tag on this store's bindings, so stores that bind onto
+    /// one tape absorb only their own gradients.
+    id: usize,
     slots: Vec<ParamSlot>,
     by_name: HashMap<String, ParamId>,
-    /// Bindings made since the last `absorb_grads` call: (param, tape node).
-    bindings: RefCell<Vec<(ParamId, Var)>>,
+}
+
+impl Default for ParamStore {
+    fn default() -> Self {
+        static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
+        ParamStore {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            slots: Vec::new(),
+            by_name: HashMap::new(),
+        }
+    }
 }
 
 impl ParamStore {
@@ -91,19 +107,23 @@ impl ParamStore {
         (0..self.slots.len()).map(ParamId)
     }
 
-    /// Put the parameter's current value on the tape as a leaf and remember
-    /// the binding so `absorb_grads` can route the gradient back.
+    /// Put the parameter's current value on the tape as a leaf and record
+    /// the binding on the tape so `absorb_grads` can route the gradient back.
     pub fn bind(&self, tape: &mut Tape, id: ParamId) -> Var {
         let var = tape.leaf(self.slots[id.0].value.clone());
-        self.bindings.borrow_mut().push((id, var));
+        tape.bindings.push((self.id, id, var));
         var
     }
 
-    /// After `tape.backward`, accumulate each bound leaf's gradient into the
-    /// parameter's persistent grad buffer and clear the bindings.
+    /// After `tape.backward`, accumulate the gradient of each leaf this
+    /// store bound onto `tape` into the parameter's persistent grad buffer,
+    /// in bind order. Other stores' bindings on the same tape are skipped;
+    /// absorbing one tape twice adds its gradients twice.
     pub fn absorb_grads(&mut self, tape: &Tape) {
-        let bindings = std::mem::take(&mut *self.bindings.borrow_mut());
-        for (id, var) in bindings {
+        for &(store, id, var) in &tape.bindings {
+            if store != self.id {
+                continue;
+            }
             if let Some(g) = tape.grad(var) {
                 // Kernel-boundary invariant: the optimiser must never see a
                 // non-finite gradient; name the parameter it was bound to.
@@ -111,11 +131,6 @@ impl ParamStore {
                 self.slots[id.0].grad.add_assign(g);
             }
         }
-    }
-
-    /// Discard bindings without absorbing (e.g. after an inference-only pass).
-    pub fn clear_bindings(&self) {
-        self.bindings.borrow_mut().clear();
     }
 
     /// Zero every persistent gradient buffer.
@@ -194,9 +209,7 @@ pub fn check_param_gradients(
                 store.value_mut(id).data_mut()[i] = v;
                 let mut tape = Tape::new();
                 let root = loss(&mut tape, store);
-                let out = tape.value(root).item();
-                store.clear_bindings();
-                out
+                tape.value(root).item()
             };
             let plus = eval(orig + eps, store, &mut loss);
             let minus = eval(orig - eps, store, &mut loss);
@@ -297,6 +310,26 @@ mod tests {
         let w = store.add("w", Tensor::from_vec(vec![1.0, 2.0]));
         let err = check_param_gradients(&mut store, 1e-2, 1e-3, 8, |tape, s| s.bind(tape, w));
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn stores_sharing_a_tape_absorb_only_their_own_bindings() {
+        // Both stores' first parameter is ParamId(0): only the store tag
+        // keeps their gradients apart.
+        let mut a = ParamStore::new();
+        let mut b = ParamStore::new();
+        let wa = a.add("w", Tensor::scalar(2.0));
+        let wb = b.add("w", Tensor::scalar(5.0));
+        let mut tape = Tape::new();
+        let va = a.bind(&mut tape, wa);
+        let vb = b.bind(&mut tape, wb);
+        let prod = tape.mul(va, vb);
+        let loss = tape.sum_all(prod);
+        tape.backward(loss);
+        a.absorb_grads(&tape);
+        b.absorb_grads(&tape);
+        assert_eq!(a.grad(wa).item(), 5.0);
+        assert_eq!(b.grad(wb).item(), 2.0);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //!   clearing it hands its large value and gradient buffers back, where the
 //!   next tape's kernels pick them up.
 
+use crate::param::Binding;
 use crate::tensor::Tensor;
 
 /// Handle to a value recorded on a [`Tape`].
@@ -61,6 +62,8 @@ pub struct Tape {
     /// Gradients `backward` already summed into another; `release` hands
     /// them to the spare set with the rest.
     spent: Vec<Vec<f32>>,
+    /// Every [`crate::param::ParamStore::bind`] onto this tape, in order.
+    pub(crate) bindings: Vec<Binding>,
 }
 
 impl Default for Tape {
@@ -73,7 +76,7 @@ impl Tape {
     /// An empty tape, which claims the spare buffers the last tape left.
     pub fn new() -> Self {
         crate::spares::claim();
-        Tape { nodes: Vec::new(), grads: Vec::new(), spent: Vec::new() }
+        Tape { nodes: Vec::new(), grads: Vec::new(), spent: Vec::new(), bindings: Vec::new() }
     }
 
     /// Number of recorded nodes.
@@ -220,10 +223,11 @@ impl Tape {
         self.grads = grads;
     }
 
-    /// Drop all recorded nodes and gradients, keeping the arena's
-    /// allocation; the tape then starts over as if new.
+    /// Drop all recorded nodes, gradients and parameter bindings, keeping
+    /// the arena's allocation; the tape then starts over as if new.
     pub fn clear(&mut self) {
         self.release();
+        self.bindings.clear();
         crate::spares::claim();
     }
 

@@ -4,10 +4,11 @@
 
 use proptest::prelude::*;
 use rtgcn::core::layers::{RelationalConv, TemporalConvBlock};
+use rtgcn::core::strategy::DEGREE_EPS;
 use rtgcn::core::{Strategy as RtStrategy, StrategyCtx};
 use rtgcn::eval::{cumulative_irr, daily_topk_return, rank_of, reciprocal_rank, top_k_indices};
 use rtgcn::eval::{signed_rank_from_diffs, Alternative};
-use rtgcn::graph::{renormalize_uniform, RelationTensor, DEGREE_EPS};
+use rtgcn::graph::RelationTensor;
 use rtgcn::telemetry as tel;
 use rtgcn::tensor::{check_param_gradients, init, ConvSpec, ParamStore, Shape, Tape, Tensor, Var};
 
@@ -59,8 +60,9 @@ proptest! {
         prop_assert_eq!(g.numel(), n);
     }
 
-    /// Kipf-Welling renormalisation of any symmetric binary graph yields
-    /// finite weights and symmetric output.
+    /// Kipf-Welling renormalisation of any symmetric binary graph (the
+    /// uniform strategy's adjacency) yields finite weights and
+    /// `w(i→j) = w(j→i)`.
     #[test]
     fn renormalisation_finite_and_symmetric(
         n in 2usize..12,
@@ -73,12 +75,18 @@ proptest! {
                 rel.connect(i, j, 0);
             }
         }
-        let adj = renormalize_uniform(n, &rel.directed_edges());
-        prop_assert!(adj.weights.iter().all(|w| w.is_finite()));
-        let dense = adj.to_dense();
+        let ctx = StrategyCtx::new(&rel);
+        let mut tape = Tape::new();
+        let adj = ctx.adjacency_uniform(&mut tape);
+        let weights = tape.value(adj).data();
+        prop_assert!(weights.iter().all(|w| w.is_finite()));
+        let mut dense = vec![0.0f32; n * n];
+        for (&[s, d], &w) in ctx.csr.edges.pairs.iter().zip(weights) {
+            dense[s * n + d] += w;
+        }
         for i in 0..n {
             for j in 0..n {
-                prop_assert!((dense.at(&[i, j]) - dense.at(&[j, i])).abs() < 1e-5);
+                prop_assert!((dense[i * n + j] - dense[j * n + i]).abs() < 1e-5);
             }
         }
     }
@@ -214,11 +222,11 @@ proptest! {
 // at a time with the Eq. 3–5 adjacency renormalised on the tape. Built only
 // from edge-list tape ops and the public `RelationalConv`/`StrategyCtx`
 // fields, so it shares no code with the batched kernels (`spmm_batched`,
-// `edge_dot_batched`, the CSR layout, the cached uniform weights) that
+// `edge_dot_batched`, the CSR grouping, `renormalize_batched`) that
 // `RelationalConv::forward` runs.
 // ---------------------------------------------------------------------------
 
-/// Strategy adjacency of one plane `x_t: (N, D)`, aligned with `ctx.edges`:
+/// Strategy adjacency of one plane `x_t: (N, D)`, aligned with `ctx.csr`:
 /// raw relation weights (Eq. 3: 1; Eq. 4: `𝒜ᵀw + b`; Eq. 5: that times
 /// `x_iᵀx_j / √D`), unit self-loops, then `D̃^{-1/2}(A + I)D̃^{-1/2}` with the
 /// abs-degree clamp.
@@ -249,14 +257,14 @@ fn reference_adjacency(
     let raw = tape.concat0(&[raw_rel, loops]);
     let abs_w = tape.abs(raw);
     let ones_col = tape.constant(Tensor::ones([n, 1]));
-    let deg = tape.spmm(&ctx.edges, abs_w, ones_col);
+    let deg = tape.spmm(&ctx.csr.edges, abs_w, ones_col);
     let deg = tape.reshape(deg, [n]);
     let deg = tape.clamp_min(deg, DEGREE_EPS);
     let sqrt_deg = tape.sqrt(deg);
     let one = tape.constant(Tensor::scalar(1.0));
     let dinv = tape.div(one, sqrt_deg);
-    let d_src = tape.gather_src(&ctx.edges, dinv);
-    let d_dst = tape.gather_dst(&ctx.edges, dinv);
+    let d_src = tape.gather_src(&ctx.csr.edges, dinv);
+    let d_dst = tape.gather_dst(&ctx.csr.edges, dinv);
     let scaled = tape.mul(raw, d_src);
     tape.mul(scaled, d_dst)
 }
@@ -280,7 +288,7 @@ fn reference_forward(
             let x_t = tape.reshape(x_t, [n, d]);
             let adj = reference_adjacency(tape, store, conv, ctx, x_t);
             let own = tape.matmul(x_t, theta_self);
-            let agg = tape.spmm(&ctx.edges, adj, x_t);
+            let agg = tape.spmm(&ctx.csr.edges, adj, x_t);
             let nbr = tape.matmul(agg, theta);
             let z = tape.add(own, nbr);
             tape.relu(z)
