@@ -9,6 +9,7 @@
 //! dimension, expanding the receptive field as the paper describes.
 
 use super::shape_ops::permute3_slice;
+use crate::linalg;
 use crate::spares;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
@@ -44,18 +45,14 @@ impl ConvSpec {
     }
 }
 
-/// Output steps the forward accumulates together, so that one weight-row
-/// load serves all of them (measured faster end to end than one step at a
-/// time).
-const STEPS: usize = 4;
-
 /// Shapes of one conv call, and the kernels that run it.
 ///
-/// Both directions run their innermost loop over a contiguous channel
-/// row, so it vectorises. The forward packs the weight as a
-/// `(C_in·k, C_out)` panel, accumulates every filter of one output step at
-/// once ([`STEPS`] steps at once away from the padding) and copies each
-/// accumulated row into its output row. The backward reads each
+/// The forward packs the weight as a `(C_in·k, C_out)` panel and runs each
+/// output step's `(B, C_out)` block on the register tile of
+/// [`crate::linalg`]: a tile of consecutive stocks and filters at one step
+/// shares that step's valid-tap range, and at reduction step `(ci, j)` it
+/// reads channel `ci` of the tap's input row for each stock (row stride
+/// `C_in`) and panel row `ci·k + j`. The backward reads each
 /// upstream-gradient row in place, accumulates `gw` in that panel layout
 /// (vectorised over `C_out`), and accumulates `gx` straight into its
 /// `(L, B, C_in)` result against a `(C_out, k, C_in)` panel (vectorised over
@@ -89,54 +86,15 @@ impl ConvGeom {
     /// `(L_out, B, C_out)` output of `x: (L, B, C_in)`, `w: (C_out, C_in, k)`.
     fn forward(&self, x: &[f32], w: &[f32], bias: &[f32]) -> Vec<f32> {
         let ConvGeom { b, c_in, c_out, l_out, spec, .. } = *self;
-        let (k, dil, stride) = (spec.kernel, spec.dilation, spec.stride);
+        let k = spec.kernel;
         // Row `ci·k + j` holds tap `j` of input channel `ci` for every filter.
         let panel = permute3_slice(w, [1, c_out, c_in * k], [0, 2, 1]);
         let mut out = spares::filled(l_out * b * c_out, 0.0);
-        let mut acc_rows = vec![0.0f32; STEPS * c_out];
-        for bi in 0..b {
-            // Channel `ci` of this stock at input step `p`.
-            let xat = |p: usize, ci: usize| x[(p * b + bi) * c_in + ci];
-            let mut t = 0;
-            while t < l_out {
-                // Once no tap reads padding, blocks of STEPS steps share
-                // each weight-row load; single steps before and at the tail.
-                let (j0, p0) = self.first_tap(t);
-                let steps = if j0 == 0 && t + STEPS <= l_out { STEPS } else { 1 };
-                let acc = &mut acc_rows[..steps * c_out];
-                for row in acc.chunks_exact_mut(c_out.max(1)) {
-                    row.copy_from_slice(bias);
-                }
-                for ci in 0..c_in {
-                    for j in j0..k {
-                        let p = p0 + (j - j0) * dil;
-                        let wrow = &panel[(ci * k + j) * c_out..][..c_out];
-                        if steps == 1 {
-                            let xv = xat(p, ci);
-                            for (a, &wv) in acc.iter_mut().zip(wrow) {
-                                *a += wv * xv;
-                            }
-                            continue;
-                        }
-                        let [x0, x1, x2, x3]: [f32; STEPS] =
-                            std::array::from_fn(|s| xat(p + s * stride, ci));
-                        let (a0, rest) = acc.split_at_mut(c_out);
-                        let (a1, rest) = rest.split_at_mut(c_out);
-                        let (a2, a3) = rest.split_at_mut(c_out);
-                        let rows = a0.iter_mut().zip(a1).zip(a2).zip(a3);
-                        for ((((a0, a1), a2), a3), &wv) in rows.zip(wrow) {
-                            *a0 += wv * x0;
-                            *a1 += wv * x1;
-                            *a2 += wv * x2;
-                            *a3 += wv * x3;
-                        }
-                    }
-                }
-                for (s, row) in acc.chunks_exact(c_out.max(1)).enumerate() {
-                    out[((t + s) * b + bi) * c_out..][..c_out].copy_from_slice(row);
-                }
-                t += steps;
-            }
+        let block = b * c_out;
+        for t in 0..l_out {
+            let (j0, p0) = self.first_tap(t);
+            let out = &mut out[t * block..][..block];
+            linalg::for_each_tile(b, c_out, &mut ConvStep { geom: self, x, panel: &panel, bias, j0, p0, out });
         }
         out
     }
@@ -189,6 +147,33 @@ impl ConvGeom {
         }
         let gw = permute3_slice(&gw_panel, [1, c_in * k, c_out], [0, 2, 1]);
         (gx, gw, gb)
+    }
+}
+
+/// The `(B, C_out)` output block of one step, whose first valid tap is
+/// `j0`, reading input position `p0`.
+struct ConvStep<'a> {
+    geom: &'a ConvGeom,
+    x: &'a [f32],
+    panel: &'a [f32],
+    bias: &'a [f32],
+    j0: usize,
+    p0: usize,
+    out: &'a mut [f32],
+}
+
+impl linalg::Tiles for ConvStep<'_> {
+    #[inline(always)]
+    fn tile<const R: usize, const C: usize>(&mut self, bi0: usize, co0: usize) {
+        let ConvGeom { b, c_in, c_out, spec, .. } = *self.geom;
+        let (k, dil, j0, p0) = (spec.kernel, spec.dilation, self.j0, self.p0);
+        let bias: [f32; C] = std::array::from_fn(|c| self.bias[co0 + c]);
+        let mut acc = [bias; R];
+        for ci in 0..c_in {
+            let taps = (j0..k).map(|j| (((p0 + (j - j0) * dil) * b + bi0) * c_in + ci, (ci * k + j) * c_out + co0));
+            linalg::accumulate(&mut acc, self.x, c_in, self.panel, taps);
+        }
+        linalg::store(&acc, self.out, c_out, bi0, co0);
     }
 }
 
@@ -248,7 +233,7 @@ mod tests {
     use crate::tape::check_gradient;
     use proptest::prelude::*;
 
-    /// The scalar loops the panel kernels replaced, kept as their oracle:
+    /// The scalar loops the conv kernels replaced, kept as their oracle:
     /// one output element at a time, the padding tested on every tap. The
     /// backward's former `go == 0.0` skip is left out; it only ever hid
     /// `0·Inf`, and adding `±0` to an accumulator that starts at `+0.0`
@@ -321,7 +306,7 @@ mod tests {
         for (i, (a, e)) in got.iter().zip(want).enumerate() {
             assert!(
                 a.to_bits() == e.to_bits() || (a.is_nan() && e.is_nan()),
-                "{what}[{i}]: panel kernel {a:e} vs scalar oracle {e:e}"
+                "{what}[{i}]: kernel {a:e} vs scalar oracle {e:e}"
             );
         }
     }
@@ -384,13 +369,15 @@ mod tests {
     fn panel_kernels_match_oracle_on_corner_geometries() {
         // (L, B, C_in, C_out, k, stride, dilation)
         let corners = [
-            (6, 2, 3, 5, 1, 1, 1),    // k = 1
-            (7, 2, 3, 5, 1, 2, 1),    // the TCN's 1×1 stride-2 skip projection
-            (9, 1, 2, 3, 3, 1, 3),    // dilation > 1
-            (3, 2, 2, 4, 3, 1, 2),    // L ≤ pad: early steps read only padding but one tap
-            (1, 1, 1, 7, 4, 3, 2),    // a single step, every tap but the last padded
-            (8, 2, 4, 9, 2, 2, 1),    // C_out not a multiple of the vector width
-            (16, 3, 32, 32, 3, 2, 1), // the RT-GCN TCN block
+            (6, 2, 3, 5, 1, 1, 1),      // k = 1
+            (7, 2, 3, 5, 1, 2, 1),      // the TCN's 1×1 stride-2 skip projection
+            (9, 1, 2, 3, 3, 1, 3),      // dilation > 1
+            (3, 2, 2, 4, 3, 1, 2),      // L ≤ pad: early steps read only padding but one tap
+            (1, 1, 1, 7, 4, 3, 2),      // a single step, every tap but the last padded
+            (8, 2, 4, 9, 2, 2, 1),      // C_out not a multiple of the vector width
+            (16, 3, 32, 32, 3, 2, 1),   // the RT-GCN TCN block
+            (16, 102, 32, 32, 3, 2, 1), // its serving shape: full 4 × 16 tiles and every remainder
+            (16, 102, 32, 32, 1, 2, 1), // the block's 1×1 skip at that shape
         ];
         for (i, &(l, b, c_in, c_out, k, s, d)) in corners.iter().enumerate() {
             for poison in 0..4 {
@@ -408,7 +395,7 @@ mod tests {
         /// bit on random shapes, with and without a non-finite input.
         #[test]
         fn panel_kernels_match_scalar_oracle(
-            (l, b, c_in, c_out) in (1usize..14, 1usize..4, 1usize..6, 1usize..12),
+            (l, b, c_in, c_out) in (1usize..14, 1usize..10, 1usize..6, 1usize..40),
             (k, stride, dilation) in (1usize..5, 1usize..4, 1usize..4),
             seed in 0u64..1_000_000,
             poison in 0usize..4,

@@ -189,15 +189,14 @@ proptest! {
         prop_assert!(lhs.allclose(&rhs, 1e-3));
     }
 
-    /// matmul_tn(Aᵀ stored as A) and matmul_nt agree with explicit
-    /// transposition for arbitrary rectangular matrices.
+    /// matmul_tn(Aᵀ stored as A) and matmul_nt agree bit for bit with
+    /// explicit transposition for arbitrary rectangular matrices: all three
+    /// add each output's products in the same order.
     #[test]
     fn transpose_free_kernels_agree(a in matrix(4, 3), b in matrix(3, 5)) {
-        let expect = linalg::matmul(&a, &b);
-        let via_tn = linalg::matmul_tn(&a.transpose(), &b);
-        let via_nt = linalg::matmul_nt(&a, &b.transpose());
-        prop_assert!(via_tn.allclose(&expect, 1e-3));
-        prop_assert!(via_nt.allclose(&expect, 1e-3));
+        let expect = bits(&linalg::matmul(&a, &b));
+        prop_assert_eq!(bits(&linalg::matmul_tn(&a.transpose(), &b)), expect.clone());
+        prop_assert_eq!(bits(&linalg::matmul_nt(&a, &b.transpose())), expect);
     }
 
     /// IEEE propagation through all three matmul variants: a NaN or ±Inf
